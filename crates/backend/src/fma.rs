@@ -125,13 +125,15 @@ impl KernelBackend for FmaBackend {
         unsafe { x86::avx2fma::gemm_at_b_band(a, b, out_band, row0, m, n) }
     }
 
-    fn gemm_a_bt_row(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize) {
+    fn gemm_a_bt_rows(&self, a_rows: &[f32], b: &[f32], out_rows: &mut [f32], k: usize, n: usize) {
         if k == 0 {
-            out_row.fill(0.0);
+            out_rows.fill(0.0);
             return;
         }
-        // Safety: construction proved avx2+fma.
-        unsafe { gemm_a_bt_row_fma(a_row, b, out_row, k) }
+        for (a_row, out_row) in a_rows.chunks_exact(k).zip(out_rows.chunks_exact_mut(n)) {
+            // Safety: construction proved avx2+fma.
+            unsafe { gemm_a_bt_row_fma(a_row, b, out_row, k) }
+        }
     }
 
     fn im2col_row(

@@ -166,9 +166,13 @@ pub trait KernelBackend: Send + Sync {
         n: usize,
     );
 
-    /// One output row of `out = a·bᵀ`: `out_row[j] = a_row · b[j*k..][..k]`
-    /// with `b` stored `[n x k]` and `k >= 1` (callers shortcut `k == 0`).
-    fn gemm_a_bt_row(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize);
+    /// A contiguous block of output rows of `out = a·bᵀ`:
+    /// `out_rows[i*n + j] = a_rows[i*k..][..k] · b[j*k..][..k]` for the
+    /// `out_rows.len() / n` rows, with `b` stored `[n x k]` and `k, n >= 1`
+    /// (callers shortcut `k == 0`). Each output element is `0.0` plus its
+    /// terms, multiply then add, in `p`-ascending order; a backend may
+    /// vectorise across rows or output columns, never along `p`.
+    fn gemm_a_bt_rows(&self, a_rows: &[f32], b: &[f32], out_rows: &mut [f32], k: usize, n: usize);
 
     /// One row of the im2col lowering of a `[C, H, W]` sample: the window
     /// values for kernel tap `(ch, ky, kx) = decode(row)` at every output
@@ -496,6 +500,7 @@ mod tests {
 
     #[test]
     fn gemm_a_bt_row_bit_identical_across_backends() {
+        // One-row calls, which the SIMD backend gives to its row kernel.
         let [s, v] = backends();
         for &n in WIDTHS {
             for &k in WIDTHS {
@@ -503,9 +508,53 @@ mod tests {
                 let b = data(n * k, k + 2);
                 let mut out_s = vec![0.0f32; n];
                 let mut out_v = vec![0.5f32; n];
-                s.gemm_a_bt_row(&a, &b, &mut out_s, k);
-                v.gemm_a_bt_row(&a, &b, &mut out_v, k);
-                assert_eq!(out_s, out_v, "gemm_a_bt_row k={k} n={n}");
+                s.gemm_a_bt_rows(&a, &b, &mut out_s, k, n);
+                v.gemm_a_bt_rows(&a, &b, &mut out_v, k, n);
+                assert_eq!(out_s, out_v, "gemm_a_bt_rows one row k={k} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_a_bt_rows_bit_identical_across_backends() {
+        // Computed at run time, so this is the NaN the hardware itself makes
+        // for inf·0 and inf−inf. The reference leaves the operand order of a
+        // NaN + NaN add to the compiler, and x86 keeps the first operand's
+        // payload, so a second NaN bit pattern could pick either side.
+        let nan = std::hint::black_box(f32::INFINITY) * 0.0;
+        let specials = [-0.0, f32::INFINITY, f32::NEG_INFINITY, nan];
+        // Specials sit in a few rows of each operand, so most outputs stay
+        // finite and the rest cover signed zeros, infinities and NaN.
+        let with_specials = |len: usize, row: usize, salt: usize| {
+            let mut v = data(len, salt);
+            for (i, x) in v.iter_mut().enumerate() {
+                if (i / row) % 5 == 3 && i % 3 == 0 {
+                    *x = specials[(i / 3) % specials.len()];
+                }
+            }
+            v
+        };
+        let s = backend_for(BackendChoice::Scalar);
+        let levels = SimdBackend::every_level();
+        for &m in &[1usize, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64] {
+            for &k in &[1usize, 7, 255, 256, 257, 2048] {
+                for &n in &[1usize, 3, 4, 6, 13] {
+                    let a = with_specials(m * k, k, m + n);
+                    let b = with_specials(n * k, k, k + 1);
+                    let mut out_s = vec![0.0f32; m * n];
+                    s.gemm_a_bt_rows(&a, &b, &mut out_s, k, n);
+                    for v in &levels {
+                        let mut out_v = vec![0.5f32; m * n];
+                        v.gemm_a_bt_rows(&a, &b, &mut out_v, k, n);
+                        let bits = |o: &[f32]| o.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&out_s),
+                            bits(&out_v),
+                            "gemm_a_bt_rows {} m={m} k={k} n={n}",
+                            v.level().name()
+                        );
+                    }
+                }
             }
         }
     }
@@ -664,10 +713,10 @@ mod tests {
         let bt = data(n * k, 3);
         let mut row_f = vec![0.0f32; n];
         let mut row_s = vec![0.0f32; n];
-        fma.gemm_a_bt_row(&a[..k], &bt, &mut row_f, k);
-        s.gemm_a_bt_row(&a[..k], &bt, &mut row_s, k);
+        fma.gemm_a_bt_rows(&a[..k], &bt, &mut row_f, k, n);
+        s.gemm_a_bt_rows(&a[..k], &bt, &mut row_s, k, n);
         for (f, r) in row_f.iter().zip(&row_s) {
-            assert!(rel(*f, *r) < 1e-4, "gemm_a_bt_row fma={f} scalar={r}");
+            assert!(rel(*f, *r) < 1e-4, "gemm_a_bt_rows fma={f} scalar={r}");
         }
     }
 

@@ -199,8 +199,10 @@ impl KernelBackend for ScalarBackend {
         gemm_at_b_band(a, b, out_band, row0, m, n);
     }
 
-    fn gemm_a_bt_row(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize) {
-        gemm_a_bt_row(a_row, b, out_row, k);
+    fn gemm_a_bt_rows(&self, a_rows: &[f32], b: &[f32], out_rows: &mut [f32], k: usize, n: usize) {
+        for (a_row, out_row) in a_rows.chunks_exact(k).zip(out_rows.chunks_exact_mut(n)) {
+            gemm_a_bt_row(a_row, b, out_row, k);
+        }
     }
 
     fn im2col_row(

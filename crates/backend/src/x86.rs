@@ -366,3 +366,179 @@ simd_level!(
     _mm256_add_ps,
     fused_mul_add_256
 );
+
+/// Stamps the batch-row kernel of `out = a·bᵀ` for one exact-contract level.
+/// The relaxed level has no copy: its backend keeps a per-row loop.
+macro_rules! batch_level {
+    ($name:ident, $feature:literal, $lanes:literal,
+     $load:ident, $store:ident, $set1:ident, $mul:ident, $add:ident) => {
+        pub(crate) mod $name {
+            use std::arch::x86_64::*;
+
+            /// Depth of one k-block of the [`gemm_a_bt_rows`] tile.
+            const KB: usize = 256;
+            /// Rows per [`gemm_a_bt_rows`] tile: two vectors of batch rows.
+            const TW: usize = 2 * $lanes;
+
+            /// Batch kernel of `out = a·bᵀ` (`b` stored `[n x k]`),
+            /// vectorised **across batch rows**: a `KB`-deep block of up to
+            /// `TW` rows of `a` is transposed into a stack tile, then the
+            /// weight rows are swept four at a time, each weight broadcast
+            /// against every row of the tile. A weight is loaded once per
+            /// `TW` rows instead of once per row.
+            ///
+            /// Bit-identity: each lane keeps one output element's running
+            /// sum, starting from `0.0` and adding `a[i][p] * b[j][p]` (a
+            /// separate multiply, then add) in `p`-ascending order, with no
+            /// zero-skip — the scalar `gemm_a_bt_row` sequence. Between
+            /// k-blocks the partial sums wait in `out_rows`; an `f32` store
+            /// and reload is exact.
+            ///
+            /// # Safety
+            ///
+            /// Caller must ensure the module's target feature is available.
+            #[target_feature(enable = $feature)]
+            pub(crate) unsafe fn gemm_a_bt_rows(
+                a_rows: &[f32],
+                b: &[f32],
+                out_rows: &mut [f32],
+                k: usize,
+                n: usize,
+            ) {
+                let rows = out_rows.len() / n;
+                assert!(a_rows.len() >= rows * k, "lhs block shorter than output rows");
+                assert!(b.len() >= n * k, "rhs shorter than [n x k]");
+                let mut tile = [0.0f32; KB * TW];
+                let mut r0 = 0;
+                while r0 < rows {
+                    let rs = (rows - r0).min(TW);
+                    let mut p0 = 0;
+                    while p0 < k {
+                        let kb = (k - p0).min(KB);
+                        for r in 0..rs {
+                            let src = &a_rows[(r0 + r) * k + p0..][..kb];
+                            for (p, &x) in src.iter().enumerate() {
+                                tile[p * TW + r] = x;
+                            }
+                        }
+                        let blk = Block { tile: &tile, k, n, p0, kb, r0, rs };
+                        // Rows past `rs` hold stale tile values; their lanes
+                        // are computed but never stored.
+                        if rs > $lanes {
+                            a_bt_panel::<2>(&blk, b, out_rows);
+                        } else {
+                            a_bt_panel::<1>(&blk, b, out_rows);
+                        }
+                        p0 += kb;
+                    }
+                    r0 += rs;
+                }
+            }
+
+            /// One transposed tile of [`gemm_a_bt_rows`]: `kb` values of
+            /// rows `r0..r0 + rs` starting at depth `p0`, `TW` floats per
+            /// depth step.
+            struct Block<'t> {
+                tile: &'t [f32; KB * TW],
+                k: usize,
+                n: usize,
+                p0: usize,
+                kb: usize,
+                r0: usize,
+                rs: usize,
+            }
+
+            /// Sweeps every weight row over one tile, four at a time, using
+            /// `V` vectors of rows.
+            ///
+            /// # Safety
+            ///
+            /// Caller must ensure the module's target feature is available,
+            /// `b.len() >= n * k` and `V * $lanes <= TW`.
+            #[target_feature(enable = $feature)]
+            unsafe fn a_bt_panel<const V: usize>(blk: &Block, b: &[f32], out: &mut [f32]) {
+                let mut j = 0;
+                while j + 4 <= blk.n {
+                    a_bt_cols::<V, 4>(blk, b, out, j);
+                    j += 4;
+                }
+                while j < blk.n {
+                    a_bt_cols::<V, 1>(blk, b, out, j);
+                    j += 1;
+                }
+            }
+
+            /// Output columns `j..j + J` of one tile: `J × V` vector
+            /// accumulators, seeded with `0.0` on the first k-block and with
+            /// the partial sums in `out` after it.
+            ///
+            /// # Safety
+            ///
+            /// Caller must ensure the module's target feature is available,
+            /// `b.len() >= n * k`, `j + J <= n` and `V * $lanes <= TW`.
+            #[target_feature(enable = $feature)]
+            #[inline]
+            unsafe fn a_bt_cols<const V: usize, const J: usize>(
+                blk: &Block,
+                b: &[f32],
+                out: &mut [f32],
+                j: usize,
+            ) {
+                let &Block { tile, k, n, p0, kb, r0, rs } = blk;
+                let mut acc = [[$set1(0.0); V]; J];
+                if p0 > 0 {
+                    for (q, aq) in acc.iter_mut().enumerate() {
+                        let mut col = [0.0f32; TW];
+                        for (r, c) in col[..rs].iter_mut().enumerate() {
+                            *c = out[(r0 + r) * n + j + q];
+                        }
+                        for (v, a) in aq.iter_mut().enumerate() {
+                            *a = $load(col.as_ptr().add(v * $lanes));
+                        }
+                    }
+                }
+                // In bounds: weight rows `j + q < n` and depths
+                // `p0 + p < k` index inside `b`'s `n * k`; a tile vector
+                // at `p * TW + v * $lanes` ends by `kb * TW <= KB * TW`.
+                let t = tile.as_ptr();
+                let w = b.as_ptr().add(j * k + p0);
+                for p in 0..kb {
+                    let mut x = [$set1(0.0); V];
+                    for (v, xv) in x.iter_mut().enumerate() {
+                        *xv = $load(t.add(p * TW + v * $lanes));
+                    }
+                    for (q, aq) in acc.iter_mut().enumerate() {
+                        let wq = $set1(*w.add(q * k + p));
+                        for (a, &xv) in aq.iter_mut().zip(&x) {
+                            *a = $add(*a, $mul(xv, wq));
+                        }
+                    }
+                }
+                for (q, aq) in acc.iter().enumerate() {
+                    let mut col = [0.0f32; TW];
+                    for (v, a) in aq.iter().enumerate() {
+                        $store(col.as_mut_ptr().add(v * $lanes), *a);
+                    }
+                    for (r, &c) in col[..rs].iter().enumerate() {
+                        out[(r0 + r) * n + j + q] = c;
+                    }
+                }
+            }
+        }
+    };
+}
+
+/// The batch-row kernels of `out = a·bᵀ`, one module per exact level.
+pub(crate) mod batch {
+    batch_level!(
+        avx2,
+        "avx2",
+        8,
+        _mm256_loadu_ps,
+        _mm256_storeu_ps,
+        _mm256_set1_ps,
+        _mm256_mul_ps,
+        _mm256_add_ps
+    );
+    batch_level!(sse, "sse2", 4, _mm_loadu_ps, _mm_storeu_ps, _mm_set1_ps, _mm_mul_ps, _mm_add_ps);
+}

@@ -528,29 +528,37 @@ fn decode_payload(payload: &[u8], version: u32) -> Result<ExecPlan> {
         )));
     }
 
-    let plan = ExecPlan {
+    let mut plan = ExecPlan {
         signature,
         input,
         output,
         max_batch,
         params,
         steps,
-        arena: vec![0.0; arena_len],
+        arena: Vec::new(),
         out_offset,
         qweights,
         qscales,
         device: None,
     };
-    validate(&plan)?;
+    validate(&plan, arena_len)?;
+    plan.arena = vec![0.0; arena_len];
     Ok(plan)
 }
 
-/// Semantic validation of a decoded plan: every arena slot, parameter range
-/// and geometry a step will touch is bounds-checked against the artifact's
-/// own arena/parameter tables, and same-dispatch buffers are checked
-/// disjoint, so [`ExecPlan::run`] on a loaded plan can never panic — a lying
-/// artifact fails here with [`GraphError::Malformed`] instead.
-fn validate(plan: &ExecPlan) -> Result<()> {
+/// Semantic validation of a decoded plan, run before its arena of
+/// `arena_len` floats is allocated: every arena slot, parameter range and
+/// geometry a step will touch is bounds-checked against the artifact's own
+/// arena/parameter tables, same-dispatch buffers are checked disjoint, and
+/// `arena_len` may not exceed the sum of the regions the steps imply (each
+/// destination, plus each conv's `max_batch × in_ch × k² × out_h × out_w`
+/// im2col scratch, which a quantized conv no longer references but keeps in
+/// the arena it inherits from its float plan). The compile-time planner only
+/// grows the arena by appending such a region, so every compiled plan meets
+/// the bound. So [`ExecPlan::run`] on a loaded plan can never panic, and an
+/// inflated `arena_len` cannot size an allocation — a lying artifact fails
+/// here with [`GraphError::Malformed`] instead.
+fn validate(plan: &ExecPlan, arena_len: usize) -> Result<()> {
     let mb = plan.max_batch;
     if mb == 0 {
         return Err(GraphError::Malformed("max_batch must be at least 1".into()));
@@ -592,7 +600,6 @@ fn validate(plan: &ExecPlan) -> Result<()> {
     if plan.steps.is_empty() {
         return Err(GraphError::Malformed("plan has no steps".into()));
     }
-    let arena_len = plan.arena.len();
     let in_len = plan.input.len();
 
     let slot = |what: &str, offset: usize, per_sample: usize| -> Result<(usize, usize)> {
@@ -657,6 +664,8 @@ fn validate(plan: &ExecPlan) -> Result<()> {
         Ok(())
     };
 
+    // Sum of the regions the steps imply; bounds `arena_len` below.
+    let mut planned = 0usize;
     for (i, step) in plan.steps.iter().enumerate() {
         match step {
             Step::Conv2d {
@@ -689,10 +698,10 @@ fn validate(plan: &ExecPlan) -> Result<()> {
                 }
                 params_range(&what, weight, spec.weight_len())?;
                 params_range(&what, bias, spec.out_channels)?;
-                let mut regions = vec![
-                    slot(&what, *cols_offset, *cols_len)?,
-                    slot(&what, *dst_offset, *dst_len)?,
-                ];
+                let cols = slot(&what, *cols_offset, *cols_len)?;
+                let dst = slot(&what, *dst_offset, *dst_len)?;
+                planned = planned.saturating_add(cols.1).saturating_add(dst.1);
+                let mut regions = vec![cols, dst];
                 if let Some(r) = src_slot(&what, src, *src_len)? {
                     regions.push(r);
                 }
@@ -715,7 +724,9 @@ fn validate(plan: &ExecPlan) -> Result<()> {
                 }
                 params_range(&what, weight, spec.weight_len())?;
                 params_range(&what, bias, spec.out_channels)?;
-                let mut regions = vec![slot(&what, *dst_offset, *dst_len)?];
+                let dst = slot(&what, *dst_offset, *dst_len)?;
+                planned = planned.saturating_add(dst.1);
+                let mut regions = vec![dst];
                 if let Some(r) = src_slot(&what, src, *src_len)? {
                     regions.push(r);
                 }
@@ -725,7 +736,9 @@ fn validate(plan: &ExecPlan) -> Result<()> {
                 let what = format!("step {i} (linear)");
                 params_range(&what, weight, in_features * out_features)?;
                 params_range(&what, bias, *out_features)?;
-                let mut regions = vec![slot(&what, *dst_offset, *out_features)?];
+                let dst = slot(&what, *dst_offset, *out_features)?;
+                planned = planned.saturating_add(dst.1);
+                let mut regions = vec![dst];
                 if let Some(r) = src_slot(&what, src, *in_features)? {
                     regions.push(r);
                 }
@@ -733,7 +746,9 @@ fn validate(plan: &ExecPlan) -> Result<()> {
             }
             Step::Relu { src, len, dst_offset } => {
                 let what = format!("step {i} (relu)");
-                let mut regions = vec![slot(&what, *dst_offset, *len)?];
+                let dst = slot(&what, *dst_offset, *len)?;
+                planned = planned.saturating_add(dst.1);
+                let mut regions = vec![dst];
                 if let Some(r) = src_slot(&what, src, *len)? {
                     regions.push(r);
                 }
@@ -752,7 +767,9 @@ fn validate(plan: &ExecPlan) -> Result<()> {
                 if *dst_len != c * (h / window) * (w / window) {
                     return Err(GraphError::Malformed(format!("{what}: dst_len mismatch")));
                 }
-                let mut regions = vec![slot(&what, *dst_offset, *dst_len)?];
+                let dst = slot(&what, *dst_offset, *dst_len)?;
+                planned = planned.saturating_add(dst.1);
+                let mut regions = vec![dst];
                 if let Some(r) = src_slot(&what, src, *src_len)? {
                     regions.push(r);
                 }
@@ -784,7 +801,16 @@ fn validate(plan: &ExecPlan) -> Result<()> {
                 qweights_range(&what, weight, spec.weight_len())?;
                 qscales_range(&what, scale, spec.out_channels)?;
                 params_range(&what, bias, spec.out_channels)?;
-                let mut regions = vec![slot(&what, *dst_offset, *dst_len)?];
+                // The im2col scratch a float conv of this geometry reserves:
+                // a quantized plan keeps its float plan's arena.
+                let scratch = [spec.in_channels, spec.kernel, spec.kernel, out_h, out_w, mb]
+                    .iter()
+                    .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+                    .ok_or_else(|| GraphError::Malformed(format!("{what}: scratch overflows")))?;
+                planned = planned.saturating_add(scratch);
+                let dst = slot(&what, *dst_offset, *dst_len)?;
+                planned = planned.saturating_add(dst.1);
+                let mut regions = vec![dst];
                 if let Some(r) = src_slot(&what, src, *src_len)? {
                     regions.push(r);
                 }
@@ -804,7 +830,9 @@ fn validate(plan: &ExecPlan) -> Result<()> {
                 qweights_range(&what, weight, in_features * out_features)?;
                 qscales_range(&what, scale, *out_features)?;
                 params_range(&what, bias, *out_features)?;
-                let mut regions = vec![slot(&what, *dst_offset, *out_features)?];
+                let dst = slot(&what, *dst_offset, *out_features)?;
+                planned = planned.saturating_add(dst.1);
+                let mut regions = vec![dst];
                 if let Some(r) = src_slot(&what, src, *in_features)? {
                     regions.push(r);
                 }
@@ -813,17 +841,10 @@ fn validate(plan: &ExecPlan) -> Result<()> {
         }
     }
 
-    let out_total = plan
-        .output
-        .len()
-        .checked_mul(mb)
-        .and_then(|n| n.checked_add(plan.out_offset))
-        .ok_or_else(|| GraphError::Malformed("output slot size overflows".into()))?;
-    if out_total > arena_len {
+    slot("output", plan.out_offset, plan.output.len())?;
+    if arena_len > planned {
         return Err(GraphError::Malformed(format!(
-            "output slot {}+{mb}*{} exceeds the arena ({arena_len})",
-            plan.out_offset,
-            plan.output.len()
+            "arena of {arena_len} values exceeds the {planned} its steps imply"
         )));
     }
     Ok(())
@@ -1062,6 +1083,34 @@ mod tests {
         let payload = payload_of(&plan.to_bytes());
         let v1 = reassemble(&payload, 1);
         assert!(matches!(ExecPlan::from_bytes(&v1), Err(GraphError::Malformed(_))));
+    }
+
+    #[test]
+    fn inflated_arena_len_is_malformed_before_allocating() {
+        // A forged 2^44-float arena with a valid checksum: allocating it would
+        // abort the process, so decoding must refuse it first.
+        let plan = pooled_plan();
+        let mut payload = payload_of(&plan.to_bytes());
+        let header: Vec<u8> = [plan.max_batch, plan.out_offset, plan.arena.len()]
+            .iter()
+            .flat_map(|&v| (v as u64).to_le_bytes())
+            .collect();
+        let at = payload.windows(header.len()).position(|w| w == header).unwrap() + 16;
+        payload[at..at + 8].copy_from_slice(&(1u64 << 44).to_le_bytes());
+        let forged = reassemble(&payload, FPLAN_VERSION);
+        match ExecPlan::from_bytes(&forged) {
+            Err(GraphError::Malformed(msg)) => assert!(msg.contains("arena"), "{msg}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        // The bound is the sum of the regions the steps imply, max_batch 3 ×
+        // (im2col 288 + conv with fused ReLU 48 + pool 12 + linear 4) = 1056:
+        // the bound itself loads, one float past it is refused.
+        let mut with_arena = |len: u64| {
+            payload[at..at + 8].copy_from_slice(&len.to_le_bytes());
+            ExecPlan::from_bytes(&reassemble(&payload, FPLAN_VERSION))
+        };
+        assert_eq!(with_arena(1056).unwrap().arena_len(), 1056);
+        assert!(matches!(with_arena(1057), Err(GraphError::Malformed(_))));
     }
 
     #[test]

@@ -189,13 +189,16 @@ fn gemm_a_bt_on(
     }
     let (a, b) = (&a[..m * k], &b[..n * k]);
     if m > 1 && par::parallel_beneficial(m * k * n) {
-        par::par_chunks_mut(out, n, |i, out_row| {
-            be.gemm_a_bt_row(&a[i * k..(i + 1) * k], b, out_row, k);
+        // Contiguous row bands, as in `gemm_dispatch_on`: the block kernel
+        // then shares each `b` load across the rows of its band.
+        let band_rows = m.div_ceil(par::available_threads());
+        par::par_chunks_mut(out, band_rows * n, |band, out_band| {
+            let start = band * band_rows;
+            let rows = out_band.len() / n;
+            be.gemm_a_bt_rows(&a[start * k..(start + rows) * k], b, out_band, k, n);
         });
     } else {
-        for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            be.gemm_a_bt_row(a_row, b, out_row, k);
-        }
+        be.gemm_a_bt_rows(a, b, out, k, n);
     }
 }
 

@@ -9,19 +9,31 @@
 //! zero-alloc contract covers the serial path (parallel dispatch may box its
 //! per-band tasks, which is documented in `REPRODUCIBILITY.md`). This test
 //! lives in its own integration-test binary because a `#[global_allocator]`
-//! is process-wide.
+//! is process-wide. The count is per thread: the serial path runs on the
+//! calling thread, and the test harness runs sibling tests on other
+//! threads, whose allocations must not land in this count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// System allocator wrapper that counts every allocation call.
+/// System allocator wrapper that counts every allocation call on the
+/// calling thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor, so reading it never
+    // allocates (which would recurse into the allocator).
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` rather than `with`: the allocator must never panic.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.alloc(layout)
     }
 
@@ -30,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -39,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocation_count() -> usize {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]

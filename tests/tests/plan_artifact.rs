@@ -11,7 +11,7 @@
 //! earlier build of the same format version keeps loading.
 
 use fuse_backend::{with_backend, BackendChoice};
-use fuse_core::{build_pooled_mars_cnn, ModelConfig};
+use fuse_core::{build_mars_cnn, build_pooled_mars_cnn, ModelConfig};
 use fuse_edge::EdgeSession;
 use fuse_graph::{ExecPlan, Graph, GraphError, TensorMeta, FPLAN_MIN_VERSION, FPLAN_VERSION};
 use fuse_nn::{LoweringRequest, Sequential};
@@ -191,6 +191,20 @@ fn corrupted_quantized_artifacts_yield_typed_errors() {
 
     // The untouched artifact still loads and is quantized.
     assert!(ExecPlan::from_bytes(&bytes).unwrap().is_quantized());
+}
+
+#[test]
+fn quantized_default_mars_cnn_artifact_reloads() {
+    // An int8 plan keeps the float plan's arena, and in the default CNN the
+    // last region the planner placed is the second conv's im2col scratch,
+    // which no quantized step references. The decoder's arena bound must
+    // still admit it, or every exported int8 artifact stops loading.
+    let model = build_mars_cnn(&ModelConfig::default(), 11).unwrap();
+    let plan = LoweringRequest::new(&model, &[5, 8, 8]).lower().unwrap().compile(4).unwrap();
+    let quantized = plan.quantize().unwrap();
+    let loaded = ExecPlan::from_bytes(&quantized.to_bytes()).unwrap();
+    assert!(loaded.is_quantized());
+    assert_eq!(loaded.arena_len(), plan.arena_len());
 }
 
 /// The deterministic miniature plan behind the committed `tiny.fplan`
