@@ -77,6 +77,41 @@ where
     );
 }
 
+/// Checks `actual` byte for byte against the committed binary golden `name`
+/// (a file name under `tests/goldens/`), or rewrites the file when
+/// `UPDATE_GOLDENS=1` is set. Binary goldens pin wire and file formats, so a
+/// mismatch names the first differing offset instead of dumping both buffers.
+///
+/// # Panics
+///
+/// Panics (failing the test) when the golden file is missing, unreadable, or
+/// differs from `actual`.
+pub fn check_or_update_bytes(name: &str, actual: &[u8]) {
+    let path = goldens_dir().join(name);
+    if update_requested() {
+        fs::create_dir_all(goldens_dir()).expect("goldens directory can be created");
+        fs::write(&path, actual)
+            .unwrap_or_else(|e| panic!("cannot write golden {}: {e}", path.display()));
+        eprintln!("updated golden {}", path.display());
+        return;
+    }
+    let committed = fs::read(&path).unwrap_or_else(|e| {
+        panic!("missing golden file {} ({e}); generate it with UPDATE_GOLDENS=1", path.display())
+    });
+    if committed != actual {
+        let first = committed.iter().zip(actual).position(|(a, b)| a != b);
+        panic!(
+            "bytes diverged from golden {}: committed {} bytes, actual {} bytes, first \
+             difference at offset {}. An intentional format change bumps the format \
+             version before the golden is regenerated with UPDATE_GOLDENS=1.",
+            path.display(),
+            committed.len(),
+            actual.len(),
+            first.unwrap_or(committed.len().min(actual.len()))
+        );
+    }
+}
+
 /// Compact numeric summary of one pipeline stage: enough to pin the stage's
 /// numerics without committing every value.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
