@@ -129,6 +129,7 @@ impl EdgeSession {
 #[cfg(test)]
 mod tests {
     use fuse_graph::{Graph, GraphError, TensorMeta};
+    use fuse_tensor::codec::CodecError;
     use fuse_tensor::Tensor;
 
     use super::*;
@@ -193,7 +194,9 @@ mod tests {
         let (bytes, _) = artifact_bytes();
         assert!(matches!(
             EdgeSession::from_bytes(&bytes[..bytes.len() / 2]),
-            Err(GraphError::Truncated { .. }) | Err(GraphError::ChecksumMismatch { .. })
+            Err(GraphError::Codec(
+                CodecError::Truncated { .. } | CodecError::ChecksumMismatch { .. }
+            ))
         ));
         assert!(matches!(EdgeSession::load("/nonexistent/model.fplan"), Err(GraphError::Io(_))));
     }

@@ -6,7 +6,7 @@
 //! parameter snapshot — so an edge deployment can load and serve it against
 //! `fuse-tensor`/`fuse-backend` alone, with no `fuse-nn` lowering stack and
 //! no startup compilation. The byte layout is specified normatively in
-//! `REPRODUCIBILITY.md`; in short:
+//! `REPRODUCIBILITY.md`; the container is [`fuse_tensor::codec::seal`]'s:
 //!
 //! ```text
 //! magic "FPLN" | format version u32 | payload length u64 | payload | FNV-1a-64 checksum u64
@@ -28,6 +28,7 @@ use std::fs;
 use std::ops::Range;
 use std::path::Path;
 
+use fuse_tensor::codec::{self, Reader, Writer, MAX_PAYLOAD};
 use fuse_tensor::Conv2dSpec;
 
 use crate::error::GraphError;
@@ -47,14 +48,12 @@ pub const FPLAN_MAGIC: [u8; 4] = *b"FPLN";
 ///
 /// Any change to the byte layout — new step tags included — must bump this;
 /// readers reject every newer or unknown version with
-/// [`GraphError::UnsupportedVersion`] rather than guessing.
+/// [`fuse_tensor::codec::CodecError::UnsupportedVersion`] rather than
+/// guessing.
 pub const FPLAN_VERSION: u32 = 2;
 
 /// The oldest artifact format version this build still reads.
 pub const FPLAN_MIN_VERSION: u32 = 1;
-
-const HEADER_LEN: usize = 4 + 4 + 8;
-const CHECKSUM_LEN: usize = 8;
 
 const TAG_CONV2D: u8 = 0;
 const TAG_CONV1X1: u8 = 1;
@@ -70,99 +69,62 @@ const SRC_ARENA: u8 = 1;
 
 const DTYPE_F32: u8 = 0;
 
-/// FNV-1a 64-bit over `bytes` — dependency-free, byte-order independent, and
-/// plenty to catch truncation and bit rot (this is an integrity check, not an
-/// authenticity one).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
-struct Enc {
-    buf: Vec<u8>,
+fn write_range(w: &mut Writer, r: &Range<usize>) {
+    w.usize(r.start);
+    w.usize(r.end);
 }
 
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+fn write_meta(w: &mut Writer, m: &TensorMeta) {
+    match m.dtype() {
+        DType::F32 => w.u8(DTYPE_F32),
     }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    w.len_prefix_u32(m.dims().len());
+    for &d in m.dims() {
+        w.usize(d);
     }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-    fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    fn i8s(&mut self, v: &[i8]) {
-        self.buf.extend(v.iter().map(|&x| x as u8));
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn range(&mut self, r: &Range<usize>) {
-        self.usize(r.start);
-        self.usize(r.end);
-    }
-    fn meta(&mut self, m: &TensorMeta) {
-        match m.dtype() {
-            DType::F32 => self.u8(DTYPE_F32),
-        }
-        self.u32(m.dims().len() as u32);
-        for &d in m.dims() {
-            self.usize(d);
+}
+
+fn write_src(w: &mut Writer, s: &Src) {
+    match s {
+        Src::Input => w.u8(SRC_INPUT),
+        Src::Arena { offset } => {
+            w.u8(SRC_ARENA);
+            w.usize(*offset);
         }
     }
-    fn src(&mut self, s: &Src) {
-        match s {
-            Src::Input => self.u8(SRC_INPUT),
-            Src::Arena { offset } => {
-                self.u8(SRC_ARENA);
-                self.usize(*offset);
-            }
-        }
-    }
-    fn spec(&mut self, s: &Conv2dSpec) {
-        self.usize(s.in_channels);
-        self.usize(s.out_channels);
-        self.usize(s.kernel);
-        self.usize(s.stride);
-        self.usize(s.padding);
-    }
+}
+
+fn write_spec(w: &mut Writer, s: &Conv2dSpec) {
+    w.usize(s.in_channels);
+    w.usize(s.out_channels);
+    w.usize(s.kernel);
+    w.usize(s.stride);
+    w.usize(s.padding);
 }
 
 fn encode_payload(plan: &ExecPlan) -> Vec<u8> {
-    let mut e = Enc { buf: Vec::new() };
+    let mut e = Writer::new();
 
     let sig = &plan.signature;
-    e.u32(sig.layer_names().len() as u32);
+    e.len_prefix_u32(sig.layer_names().len());
     for name in sig.layer_names() {
-        e.str(name);
+        e.str_u32(name);
     }
     e.usize(sig.param_len());
-    e.meta(sig.input());
-    e.meta(sig.output());
+    write_meta(&mut e, sig.input());
+    write_meta(&mut e, sig.output());
 
-    e.meta(&plan.input);
-    e.meta(&plan.output);
+    write_meta(&mut e, &plan.input);
+    write_meta(&mut e, &plan.output);
     e.usize(plan.max_batch);
     e.usize(plan.out_offset);
     e.usize(plan.arena.len());
 
-    e.u32(plan.steps.len() as u32);
+    e.len_prefix_u32(plan.steps.len());
     for step in &plan.steps {
         match step {
             Step::Conv2d {
@@ -180,45 +142,45 @@ fn encode_payload(plan: &ExecPlan) -> Vec<u8> {
                 relu,
             } => {
                 e.u8(TAG_CONV2D);
-                e.spec(spec);
+                write_spec(&mut e, spec);
                 e.usize(*h);
                 e.usize(*w);
-                e.src(src);
+                write_src(&mut e, src);
                 e.usize(*src_len);
                 e.usize(*cols_offset);
                 e.usize(*cols_len);
                 e.usize(*dst_offset);
                 e.usize(*dst_len);
-                e.range(weight);
-                e.range(bias);
+                write_range(&mut e, weight);
+                write_range(&mut e, bias);
                 e.u8(u8::from(*relu));
             }
             Step::Conv1x1 { spec, h, w, src, src_len, dst_offset, dst_len, weight, bias, relu } => {
                 e.u8(TAG_CONV1X1);
-                e.spec(spec);
+                write_spec(&mut e, spec);
                 e.usize(*h);
                 e.usize(*w);
-                e.src(src);
+                write_src(&mut e, src);
                 e.usize(*src_len);
                 e.usize(*dst_offset);
                 e.usize(*dst_len);
-                e.range(weight);
-                e.range(bias);
+                write_range(&mut e, weight);
+                write_range(&mut e, bias);
                 e.u8(u8::from(*relu));
             }
             Step::Linear { in_features, out_features, src, dst_offset, weight, bias, relu } => {
                 e.u8(TAG_LINEAR);
                 e.usize(*in_features);
                 e.usize(*out_features);
-                e.src(src);
+                write_src(&mut e, src);
                 e.usize(*dst_offset);
-                e.range(weight);
-                e.range(bias);
+                write_range(&mut e, weight);
+                write_range(&mut e, bias);
                 e.u8(u8::from(*relu));
             }
             Step::Relu { src, len, dst_offset } => {
                 e.u8(TAG_RELU);
-                e.src(src);
+                write_src(&mut e, src);
                 e.usize(*len);
                 e.usize(*dst_offset);
             }
@@ -228,7 +190,7 @@ fn encode_payload(plan: &ExecPlan) -> Vec<u8> {
                 e.usize(*c);
                 e.usize(*h);
                 e.usize(*w);
-                e.src(src);
+                write_src(&mut e, src);
                 e.usize(*src_len);
                 e.usize(*dst_offset);
                 e.usize(*dst_len);
@@ -247,16 +209,16 @@ fn encode_payload(plan: &ExecPlan) -> Vec<u8> {
                 relu,
             } => {
                 e.u8(TAG_QCONV2D);
-                e.spec(spec);
+                write_spec(&mut e, spec);
                 e.usize(*h);
                 e.usize(*w);
-                e.src(src);
+                write_src(&mut e, src);
                 e.usize(*src_len);
                 e.usize(*dst_offset);
                 e.usize(*dst_len);
-                e.range(weight);
-                e.range(scale);
-                e.range(bias);
+                write_range(&mut e, weight);
+                write_range(&mut e, scale);
+                write_range(&mut e, bias);
                 e.u8(u8::from(*relu));
             }
             Step::QLinear {
@@ -272,185 +234,138 @@ fn encode_payload(plan: &ExecPlan) -> Vec<u8> {
                 e.u8(TAG_QLINEAR);
                 e.usize(*in_features);
                 e.usize(*out_features);
-                e.src(src);
+                write_src(&mut e, src);
                 e.usize(*dst_offset);
-                e.range(weight);
-                e.range(scale);
-                e.range(bias);
+                write_range(&mut e, weight);
+                write_range(&mut e, scale);
+                write_range(&mut e, bias);
                 e.u8(u8::from(*relu));
             }
         }
     }
 
-    e.usize(plan.params.len());
-    for &p in &plan.params {
-        e.f32(p);
-    }
-
+    e.f32_slice(&plan.params);
     // v2 quantized sections: length-prefixed int8 weights, then f32 scales.
-    e.usize(plan.qweights.len());
-    e.i8s(&plan.qweights);
-    e.usize(plan.qscales.len());
-    for &s in &plan.qscales {
-        e.f32(s);
-    }
-    e.buf
+    e.i8_slice(&plan.qweights);
+    e.f32_slice(&plan.qscales);
+    e.into_bytes()
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn read_range(r: &mut Reader<'_>, what: &'static str) -> Result<Range<usize>> {
+    let start = r.usize(what)?;
+    let end = r.usize(what)?;
+    if start > end {
+        return Err(GraphError::Malformed(format!("inverted {what} range {start}..{end}")));
+    }
+    Ok(start..end)
 }
 
-impl<'a> Dec<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let available = self.bytes.len() - self.pos;
-        if available < n {
-            return Err(GraphError::Truncated { needed: n, available });
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
+fn read_meta(r: &mut Reader<'_>) -> Result<TensorMeta> {
+    match r.u8("dtype tag")? {
+        DTYPE_F32 => {}
+        tag => return Err(GraphError::Malformed(format!("unknown dtype tag {tag}"))),
     }
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+    let rank = r.len_prefix_u32(8, "tensor rank")?;
+    if rank > 8 {
+        return Err(GraphError::Malformed(format!("implausible tensor rank {rank}")));
     }
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    let dims = (0..rank).map(|_| r.usize("tensor dim")).collect::<codec::Result<Vec<_>>>()?;
+    Ok(TensorMeta::f32(&dims))
+}
+
+fn read_src(r: &mut Reader<'_>) -> Result<Src> {
+    match r.u8("source tag")? {
+        SRC_INPUT => Ok(Src::Input),
+        SRC_ARENA => Ok(Src::Arena { offset: r.usize("source offset")? }),
+        tag => Err(GraphError::Malformed(format!("unknown source tag {tag}"))),
     }
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    fn usize(&mut self) -> Result<usize> {
-        let v = self.u64()?;
-        usize::try_from(v)
-            .map_err(|_| GraphError::Malformed(format!("value {v} exceeds the address space")))
-    }
-    fn f32(&mut self) -> Result<f32> {
-        Ok(f32::from_bits(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes"))))
-    }
-    fn i8s(&mut self, n: usize) -> Result<Vec<i8>> {
-        Ok(self.take(n)?.iter().map(|&b| b as i8).collect())
-    }
-    fn str(&mut self) -> Result<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| GraphError::Malformed("layer name is not valid UTF-8".into()))
-    }
-    fn range(&mut self) -> Result<Range<usize>> {
-        let start = self.usize()?;
-        let end = self.usize()?;
-        if start > end {
-            return Err(GraphError::Malformed(format!("inverted range {start}..{end}")));
-        }
-        Ok(start..end)
-    }
-    fn meta(&mut self) -> Result<TensorMeta> {
-        match self.u8()? {
-            DTYPE_F32 => {}
-            tag => return Err(GraphError::Malformed(format!("unknown dtype tag {tag}"))),
-        }
-        let rank = self.u32()? as usize;
-        if rank > 8 {
-            return Err(GraphError::Malformed(format!("implausible tensor rank {rank}")));
-        }
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(self.usize()?);
-        }
-        Ok(TensorMeta::f32(&dims))
-    }
-    fn src(&mut self) -> Result<Src> {
-        match self.u8()? {
-            SRC_INPUT => Ok(Src::Input),
-            SRC_ARENA => Ok(Src::Arena { offset: self.usize()? }),
-            tag => Err(GraphError::Malformed(format!("unknown source tag {tag}"))),
-        }
-    }
-    fn spec(&mut self) -> Result<Conv2dSpec> {
-        Ok(Conv2dSpec {
-            in_channels: self.usize()?,
-            out_channels: self.usize()?,
-            kernel: self.usize()?,
-            stride: self.usize()?,
-            padding: self.usize()?,
-        })
-    }
+}
+
+fn read_spec(r: &mut Reader<'_>) -> Result<Conv2dSpec> {
+    Ok(Conv2dSpec {
+        in_channels: r.usize("conv in_channels")?,
+        out_channels: r.usize("conv out_channels")?,
+        kernel: r.usize("conv kernel")?,
+        stride: r.usize("conv stride")?,
+        padding: r.usize("conv padding")?,
+    })
 }
 
 fn decode_payload(payload: &[u8], version: u32) -> Result<ExecPlan> {
-    let mut d = Dec { bytes: payload, pos: 0 };
+    let mut r = Reader::new(payload);
 
-    let name_count = d.u32()? as usize;
-    let mut layer_names = Vec::with_capacity(name_count.min(1024));
-    for _ in 0..name_count {
-        layer_names.push(d.str()?);
-    }
-    let sig_param_len = d.usize()?;
-    let sig_input = d.meta()?;
-    let sig_output = d.meta()?;
+    let name_count = r.len_prefix_u32(4, "layer name count")?;
+    let layer_names =
+        (0..name_count).map(|_| r.str_u32("layer name")).collect::<codec::Result<Vec<_>>>()?;
+    let sig_param_len = r.usize("signature param_len")?;
+    let sig_input = read_meta(&mut r)?;
+    let sig_output = read_meta(&mut r)?;
     let signature = ShapeSignature::from_parts(layer_names, sig_param_len, sig_input, sig_output);
 
-    let input = d.meta()?;
-    let output = d.meta()?;
-    let max_batch = d.usize()?;
-    let out_offset = d.usize()?;
-    let arena_len = d.usize()?;
+    let input = read_meta(&mut r)?;
+    let output = read_meta(&mut r)?;
+    let max_batch = r.usize("max_batch")?;
+    let out_offset = r.usize("out_offset")?;
+    let arena_len = r.usize("arena_len")?;
 
-    let step_count = d.u32()? as usize;
-    let mut steps = Vec::with_capacity(step_count.min(1024));
+    // The shortest step encoding is a Relu's: tag, source tag, len, dst_offset.
+    let step_count = r.len_prefix_u32(18, "step count")?;
+    let mut steps = Vec::with_capacity(step_count);
     for _ in 0..step_count {
-        let step = match d.u8()? {
+        let step = match r.u8("step tag")? {
             TAG_CONV2D => Step::Conv2d {
-                spec: d.spec()?,
-                h: d.usize()?,
-                w: d.usize()?,
-                src: d.src()?,
-                src_len: d.usize()?,
-                cols_offset: d.usize()?,
-                cols_len: d.usize()?,
-                dst_offset: d.usize()?,
-                dst_len: d.usize()?,
-                weight: d.range()?,
-                bias: d.range()?,
-                relu: d.u8()? != 0,
+                spec: read_spec(&mut r)?,
+                h: r.usize("conv2d h")?,
+                w: r.usize("conv2d w")?,
+                src: read_src(&mut r)?,
+                src_len: r.usize("conv2d src_len")?,
+                cols_offset: r.usize("conv2d cols_offset")?,
+                cols_len: r.usize("conv2d cols_len")?,
+                dst_offset: r.usize("conv2d dst_offset")?,
+                dst_len: r.usize("conv2d dst_len")?,
+                weight: read_range(&mut r, "conv2d weight")?,
+                bias: read_range(&mut r, "conv2d bias")?,
+                relu: r.u8("conv2d relu")? != 0,
             },
             TAG_CONV1X1 => Step::Conv1x1 {
-                spec: d.spec()?,
-                h: d.usize()?,
-                w: d.usize()?,
-                src: d.src()?,
-                src_len: d.usize()?,
-                dst_offset: d.usize()?,
-                dst_len: d.usize()?,
-                weight: d.range()?,
-                bias: d.range()?,
-                relu: d.u8()? != 0,
+                spec: read_spec(&mut r)?,
+                h: r.usize("conv1x1 h")?,
+                w: r.usize("conv1x1 w")?,
+                src: read_src(&mut r)?,
+                src_len: r.usize("conv1x1 src_len")?,
+                dst_offset: r.usize("conv1x1 dst_offset")?,
+                dst_len: r.usize("conv1x1 dst_len")?,
+                weight: read_range(&mut r, "conv1x1 weight")?,
+                bias: read_range(&mut r, "conv1x1 bias")?,
+                relu: r.u8("conv1x1 relu")? != 0,
             },
             TAG_LINEAR => Step::Linear {
-                in_features: d.usize()?,
-                out_features: d.usize()?,
-                src: d.src()?,
-                dst_offset: d.usize()?,
-                weight: d.range()?,
-                bias: d.range()?,
-                relu: d.u8()? != 0,
+                in_features: r.usize("linear in_features")?,
+                out_features: r.usize("linear out_features")?,
+                src: read_src(&mut r)?,
+                dst_offset: r.usize("linear dst_offset")?,
+                weight: read_range(&mut r, "linear weight")?,
+                bias: read_range(&mut r, "linear bias")?,
+                relu: r.u8("linear relu")? != 0,
             },
-            TAG_RELU => Step::Relu { src: d.src()?, len: d.usize()?, dst_offset: d.usize()? },
+            TAG_RELU => Step::Relu {
+                src: read_src(&mut r)?,
+                len: r.usize("relu len")?,
+                dst_offset: r.usize("relu dst_offset")?,
+            },
             TAG_MAXPOOL2D => Step::MaxPool2d {
-                window: d.usize()?,
-                c: d.usize()?,
-                h: d.usize()?,
-                w: d.usize()?,
-                src: d.src()?,
-                src_len: d.usize()?,
-                dst_offset: d.usize()?,
-                dst_len: d.usize()?,
+                window: r.usize("maxpool2d window")?,
+                c: r.usize("maxpool2d c")?,
+                h: r.usize("maxpool2d h")?,
+                w: r.usize("maxpool2d w")?,
+                src: read_src(&mut r)?,
+                src_len: r.usize("maxpool2d src_len")?,
+                dst_offset: r.usize("maxpool2d dst_offset")?,
+                dst_len: r.usize("maxpool2d dst_len")?,
             },
             tag @ (TAG_QCONV2D | TAG_QLINEAR) if version < 2 => {
                 return Err(GraphError::Malformed(format!(
@@ -458,75 +373,41 @@ fn decode_payload(payload: &[u8], version: u32) -> Result<ExecPlan> {
                 )))
             }
             TAG_QCONV2D => Step::QConv2d {
-                spec: d.spec()?,
-                h: d.usize()?,
-                w: d.usize()?,
-                src: d.src()?,
-                src_len: d.usize()?,
-                dst_offset: d.usize()?,
-                dst_len: d.usize()?,
-                weight: d.range()?,
-                scale: d.range()?,
-                bias: d.range()?,
-                relu: d.u8()? != 0,
+                spec: read_spec(&mut r)?,
+                h: r.usize("qconv2d h")?,
+                w: r.usize("qconv2d w")?,
+                src: read_src(&mut r)?,
+                src_len: r.usize("qconv2d src_len")?,
+                dst_offset: r.usize("qconv2d dst_offset")?,
+                dst_len: r.usize("qconv2d dst_len")?,
+                weight: read_range(&mut r, "qconv2d weight")?,
+                scale: read_range(&mut r, "qconv2d scale")?,
+                bias: read_range(&mut r, "qconv2d bias")?,
+                relu: r.u8("qconv2d relu")? != 0,
             },
             TAG_QLINEAR => Step::QLinear {
-                in_features: d.usize()?,
-                out_features: d.usize()?,
-                src: d.src()?,
-                dst_offset: d.usize()?,
-                weight: d.range()?,
-                scale: d.range()?,
-                bias: d.range()?,
-                relu: d.u8()? != 0,
+                in_features: r.usize("qlinear in_features")?,
+                out_features: r.usize("qlinear out_features")?,
+                src: read_src(&mut r)?,
+                dst_offset: r.usize("qlinear dst_offset")?,
+                weight: read_range(&mut r, "qlinear weight")?,
+                scale: read_range(&mut r, "qlinear scale")?,
+                bias: read_range(&mut r, "qlinear bias")?,
+                relu: r.u8("qlinear relu")? != 0,
             },
             tag => return Err(GraphError::Malformed(format!("unknown step tag {tag}"))),
         };
         steps.push(step);
     }
 
-    let param_count = d.usize()?;
-    // Guard the allocation against a lying count before reading the floats.
-    let available = payload.len() - d.pos;
-    if param_count.checked_mul(4).map(|need| need > available).unwrap_or(true) {
-        return Err(GraphError::Truncated { needed: param_count.saturating_mul(4), available });
-    }
-    let mut params = Vec::with_capacity(param_count);
-    for _ in 0..param_count {
-        params.push(d.f32()?);
-    }
-
+    let params = r.f32_vec("parameter table")?;
     // v2 quantized sections; a v1 artifact simply has none.
     let (qweights, qscales) = if version >= 2 {
-        let qweight_count = d.usize()?;
-        let available = payload.len() - d.pos;
-        if qweight_count > available {
-            return Err(GraphError::Truncated { needed: qweight_count, available });
-        }
-        let qweights = d.i8s(qweight_count)?;
-        let qscale_count = d.usize()?;
-        let available = payload.len() - d.pos;
-        if qscale_count.checked_mul(4).map(|need| need > available).unwrap_or(true) {
-            return Err(GraphError::Truncated {
-                needed: qscale_count.saturating_mul(4),
-                available,
-            });
-        }
-        let mut qscales = Vec::with_capacity(qscale_count);
-        for _ in 0..qscale_count {
-            qscales.push(d.f32()?);
-        }
-        (qweights, qscales)
+        (r.i8_vec("quantized weights")?, r.f32_vec("quantized scales")?)
     } else {
         (Vec::new(), Vec::new())
     };
-
-    if d.pos != payload.len() {
-        return Err(GraphError::Malformed(format!(
-            "{} trailing payload bytes after the parameter table",
-            payload.len() - d.pos
-        )));
-    }
+    r.finish("parameter tables")?;
 
     let mut plan = ExecPlan {
         signature,
@@ -555,13 +436,23 @@ fn decode_payload(payload: &[u8], version: u32) -> Result<ExecPlan> {
 /// im2col scratch, which a quantized conv no longer references but keeps in
 /// the arena it inherits from its float plan). The compile-time planner only
 /// grows the arena by appending such a region, so every compiled plan meets
-/// the bound. So [`ExecPlan::run`] on a loaded plan can never panic, and an
-/// inflated `arena_len` cannot size an allocation — a lying artifact fails
-/// here with [`GraphError::Malformed`] instead.
+/// the bound. Independently of the steps, the arena may not exceed the
+/// [`MAX_PAYLOAD`] cap [`codec::open`] puts on the payload, so a forgery that
+/// inflates `max_batch`, the slot offsets and `arena_len` consistently still
+/// cannot size a multi-TiB allocation. Every size derived from the artifact's
+/// fields is computed with checked arithmetic. So [`ExecPlan::run`] on a
+/// loaded plan can never panic, and a lying artifact fails here with
+/// [`GraphError::Malformed`] instead.
 fn validate(plan: &ExecPlan, arena_len: usize) -> Result<()> {
     let mb = plan.max_batch;
     if mb == 0 {
         return Err(GraphError::Malformed("max_batch must be at least 1".into()));
+    }
+    let arena_cap = MAX_PAYLOAD as usize / std::mem::size_of::<f32>();
+    if arena_len > arena_cap {
+        return Err(GraphError::Malformed(format!(
+            "arena of {arena_len} values exceeds the {arena_cap}-value cap"
+        )));
     }
     // Each quantized weight replaces exactly one f32 parameter (biases stay
     // f32; scales are extra metadata), so the signature's parameter count —
@@ -600,7 +491,7 @@ fn validate(plan: &ExecPlan, arena_len: usize) -> Result<()> {
     if plan.steps.is_empty() {
         return Err(GraphError::Malformed("plan has no steps".into()));
     }
-    let in_len = plan.input.len();
+    let in_len = product("input meta", plan.input.dims())?;
 
     let slot = |what: &str, offset: usize, per_sample: usize| -> Result<(usize, usize)> {
         let total = per_sample
@@ -686,17 +577,18 @@ fn validate(plan: &ExecPlan, arena_len: usize) -> Result<()> {
                 let (out_h, out_w) = spec
                     .output_size(*h, *w)
                     .map_err(|e| GraphError::Malformed(format!("{what}: {e}")))?;
-                let n_cols = out_h * out_w;
-                if *src_len != spec.in_channels * h * w {
+                if *src_len != product(&what, &[spec.in_channels, *h, *w])? {
                     return Err(GraphError::Malformed(format!("{what}: src_len mismatch")));
                 }
-                if *cols_len != spec.in_channels * spec.kernel * spec.kernel * n_cols {
+                let cols_per_sample =
+                    product(&what, &[spec.in_channels, spec.kernel, spec.kernel, out_h, out_w])?;
+                if *cols_len != cols_per_sample {
                     return Err(GraphError::Malformed(format!("{what}: cols_len mismatch")));
                 }
-                if *dst_len != spec.out_channels * n_cols {
+                if *dst_len != product(&what, &[spec.out_channels, out_h, out_w])? {
                     return Err(GraphError::Malformed(format!("{what}: dst_len mismatch")));
                 }
-                params_range(&what, weight, spec.weight_len())?;
+                params_range(&what, weight, weight_len(&what, spec)?)?;
                 params_range(&what, bias, spec.out_channels)?;
                 let cols = slot(&what, *cols_offset, *cols_len)?;
                 let dst = slot(&what, *dst_offset, *dst_len)?;
@@ -716,13 +608,13 @@ fn validate(plan: &ExecPlan, arena_len: usize) -> Result<()> {
                         "{what}: collapsed conv must be 1x1/stride-1/unpadded"
                     )));
                 }
-                if *src_len != spec.in_channels * h * w {
+                if *src_len != product(&what, &[spec.in_channels, *h, *w])? {
                     return Err(GraphError::Malformed(format!("{what}: src_len mismatch")));
                 }
-                if *dst_len != spec.out_channels * h * w {
+                if *dst_len != product(&what, &[spec.out_channels, *h, *w])? {
                     return Err(GraphError::Malformed(format!("{what}: dst_len mismatch")));
                 }
-                params_range(&what, weight, spec.weight_len())?;
+                params_range(&what, weight, weight_len(&what, spec)?)?;
                 params_range(&what, bias, spec.out_channels)?;
                 let dst = slot(&what, *dst_offset, *dst_len)?;
                 planned = planned.saturating_add(dst.1);
@@ -734,7 +626,7 @@ fn validate(plan: &ExecPlan, arena_len: usize) -> Result<()> {
             }
             Step::Linear { in_features, out_features, src, dst_offset, weight, bias, .. } => {
                 let what = format!("step {i} (linear)");
-                params_range(&what, weight, in_features * out_features)?;
+                params_range(&what, weight, product(&what, &[*in_features, *out_features])?)?;
                 params_range(&what, bias, *out_features)?;
                 let dst = slot(&what, *dst_offset, *out_features)?;
                 planned = planned.saturating_add(dst.1);
@@ -761,10 +653,10 @@ fn validate(plan: &ExecPlan, arena_len: usize) -> Result<()> {
                         "{what}: window {window} incompatible with input {h}x{w}"
                     )));
                 }
-                if *src_len != c * h * w {
+                if *src_len != product(&what, &[*c, *h, *w])? {
                     return Err(GraphError::Malformed(format!("{what}: src_len mismatch")));
                 }
-                if *dst_len != c * (h / window) * (w / window) {
+                if *dst_len != product(&what, &[*c, h / window, w / window])? {
                     return Err(GraphError::Malformed(format!("{what}: dst_len mismatch")));
                 }
                 let dst = slot(&what, *dst_offset, *dst_len)?;
@@ -792,21 +684,21 @@ fn validate(plan: &ExecPlan, arena_len: usize) -> Result<()> {
                 let (out_h, out_w) = spec
                     .output_size(*h, *w)
                     .map_err(|e| GraphError::Malformed(format!("{what}: {e}")))?;
-                if *src_len != spec.in_channels * h * w {
+                if *src_len != product(&what, &[spec.in_channels, *h, *w])? {
                     return Err(GraphError::Malformed(format!("{what}: src_len mismatch")));
                 }
-                if *dst_len != spec.out_channels * out_h * out_w {
+                if *dst_len != product(&what, &[spec.out_channels, out_h, out_w])? {
                     return Err(GraphError::Malformed(format!("{what}: dst_len mismatch")));
                 }
-                qweights_range(&what, weight, spec.weight_len())?;
+                qweights_range(&what, weight, weight_len(&what, spec)?)?;
                 qscales_range(&what, scale, spec.out_channels)?;
                 params_range(&what, bias, spec.out_channels)?;
                 // The im2col scratch a float conv of this geometry reserves:
                 // a quantized plan keeps its float plan's arena.
-                let scratch = [spec.in_channels, spec.kernel, spec.kernel, out_h, out_w, mb]
-                    .iter()
-                    .try_fold(1usize, |acc, &d| acc.checked_mul(d))
-                    .ok_or_else(|| GraphError::Malformed(format!("{what}: scratch overflows")))?;
+                let scratch = product(
+                    &what,
+                    &[spec.in_channels, spec.kernel, spec.kernel, out_h, out_w, mb],
+                )?;
                 planned = planned.saturating_add(scratch);
                 let dst = slot(&what, *dst_offset, *dst_len)?;
                 planned = planned.saturating_add(dst.1);
@@ -827,7 +719,7 @@ fn validate(plan: &ExecPlan, arena_len: usize) -> Result<()> {
                 ..
             } => {
                 let what = format!("step {i} (qlinear)");
-                qweights_range(&what, weight, in_features * out_features)?;
+                qweights_range(&what, weight, product(&what, &[*in_features, *out_features])?)?;
                 qscales_range(&what, scale, *out_features)?;
                 params_range(&what, bias, *out_features)?;
                 let dst = slot(&what, *dst_offset, *out_features)?;
@@ -841,13 +733,26 @@ fn validate(plan: &ExecPlan, arena_len: usize) -> Result<()> {
         }
     }
 
-    slot("output", plan.out_offset, plan.output.len())?;
+    slot("output", plan.out_offset, product("output meta", plan.output.dims())?)?;
     if arena_len > planned {
         return Err(GraphError::Malformed(format!(
             "arena of {arena_len} values exceeds the {planned} its steps imply"
         )));
     }
     Ok(())
+}
+
+/// The product of sizes read from an artifact, or `Malformed` when it
+/// overflows.
+fn product(what: &str, factors: &[usize]) -> Result<usize> {
+    factors
+        .iter()
+        .try_fold(1usize, |acc, &f| acc.checked_mul(f))
+        .ok_or_else(|| GraphError::Malformed(format!("{what}: size overflows")))
+}
+
+fn weight_len(what: &str, spec: &Conv2dSpec) -> Result<usize> {
+    product(what, &[spec.out_channels, spec.in_channels, spec.kernel, spec.kernel])
 }
 
 // ---------------------------------------------------------------------------
@@ -858,15 +763,7 @@ impl ExecPlan {
     /// Serializes the plan into a self-contained `.fplan` byte buffer
     /// (header, payload, checksum — see the module docs for the layout).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let payload = encode_payload(self);
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-        out.extend_from_slice(&FPLAN_MAGIC);
-        out.extend_from_slice(&FPLAN_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        let checksum = fnv1a64(&payload);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        codec::seal(FPLAN_MAGIC, FPLAN_VERSION, &encode_payload(self))
     }
 
     /// Deserializes a plan from `.fplan` bytes, verifying magic, version,
@@ -874,48 +771,12 @@ impl ExecPlan {
     ///
     /// # Errors
     ///
-    /// [`GraphError::BadMagic`], [`GraphError::UnsupportedVersion`],
-    /// [`GraphError::Truncated`], [`GraphError::ChecksumMismatch`] or
-    /// [`GraphError::Malformed`], depending on what is wrong; never panics.
+    /// [`GraphError::Codec`] when the container or its encoding is corrupt,
+    /// and [`GraphError::Malformed`] when the payload describes an
+    /// inconsistent plan; never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<ExecPlan> {
-        if bytes.len() < HEADER_LEN {
-            return Err(GraphError::Truncated { needed: HEADER_LEN, available: bytes.len() });
-        }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
-        if magic != FPLAN_MAGIC {
-            return Err(GraphError::BadMagic { found: magic });
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if !(FPLAN_MIN_VERSION..=FPLAN_VERSION).contains(&version) {
-            return Err(GraphError::UnsupportedVersion {
-                found: version,
-                supported: FPLAN_VERSION,
-            });
-        }
-        let payload_len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-        let payload_len = usize::try_from(payload_len).map_err(|_| {
-            GraphError::Malformed(format!("payload length {payload_len} exceeds the address space"))
-        })?;
-        let expected_total = HEADER_LEN
-            .checked_add(payload_len)
-            .and_then(|n| n.checked_add(CHECKSUM_LEN))
-            .ok_or_else(|| GraphError::Malformed("payload length overflows".into()))?;
-        if bytes.len() < expected_total {
-            return Err(GraphError::Truncated { needed: expected_total, available: bytes.len() });
-        }
-        if bytes.len() > expected_total {
-            return Err(GraphError::Malformed(format!(
-                "{} trailing bytes after the checksum",
-                bytes.len() - expected_total
-            )));
-        }
-        let payload = &bytes[HEADER_LEN..HEADER_LEN + payload_len];
-        let stored =
-            u64::from_le_bytes(bytes[expected_total - CHECKSUM_LEN..].try_into().expect("8 bytes"));
-        let computed = fnv1a64(payload);
-        if stored != computed {
-            return Err(GraphError::ChecksumMismatch { stored, computed });
-        }
+        let (version, payload) =
+            codec::open(bytes, FPLAN_MAGIC, FPLAN_MIN_VERSION..=FPLAN_VERSION)?;
         decode_payload(payload, version)
     }
 
@@ -946,6 +807,7 @@ impl ExecPlan {
 
 #[cfg(test)]
 mod tests {
+    use fuse_tensor::codec::{CodecError, HEADER_LEN, TRAILER_LEN};
     use fuse_tensor::Tensor;
 
     use super::*;
@@ -996,46 +858,67 @@ mod tests {
 
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
-        assert!(matches!(ExecPlan::from_bytes(&bad_magic), Err(GraphError::BadMagic { .. })));
+        assert!(matches!(
+            ExecPlan::from_bytes(&bad_magic),
+            Err(GraphError::Codec(CodecError::BadMagic { expected: FPLAN_MAGIC, .. }))
+        ));
 
         let mut bad_version = bytes.clone();
         bad_version[4] = 99;
         assert!(matches!(
             ExecPlan::from_bytes(&bad_version),
-            Err(GraphError::UnsupportedVersion { found: 99, supported: FPLAN_VERSION })
+            Err(GraphError::Codec(CodecError::UnsupportedVersion { found: 99, supported }))
+                if supported == (FPLAN_MIN_VERSION..=FPLAN_VERSION)
         ));
 
         assert!(matches!(
             ExecPlan::from_bytes(&bytes[..bytes.len() - 1]),
-            Err(GraphError::Truncated { .. })
+            Err(GraphError::Codec(CodecError::Truncated { .. }))
         ));
-        assert!(matches!(ExecPlan::from_bytes(&[]), Err(GraphError::Truncated { .. })));
+        assert!(matches!(
+            ExecPlan::from_bytes(&[]),
+            Err(GraphError::Codec(CodecError::Truncated { .. }))
+        ));
 
         let mut flipped = bytes.clone();
-        let mid = HEADER_LEN + (bytes.len() - HEADER_LEN - CHECKSUM_LEN) / 2;
+        let mid = HEADER_LEN + (bytes.len() - HEADER_LEN - TRAILER_LEN) / 2;
         flipped[mid] ^= 0x40;
-        assert!(matches!(ExecPlan::from_bytes(&flipped), Err(GraphError::ChecksumMismatch { .. })));
+        assert!(matches!(
+            ExecPlan::from_bytes(&flipped),
+            Err(GraphError::Codec(CodecError::ChecksumMismatch { .. }))
+        ));
 
         let mut trailing = bytes.clone();
         trailing.push(0);
-        assert!(matches!(ExecPlan::from_bytes(&trailing), Err(GraphError::Malformed(_))));
+        assert!(matches!(
+            ExecPlan::from_bytes(&trailing),
+            Err(GraphError::Codec(CodecError::Trailing { extra: 1, .. }))
+        ));
     }
 
     /// Rebuilds a full artifact around a (possibly modified) payload,
     /// re-stamping length and checksum so payload-level corruptions reach
     /// the decoder instead of tripping the checksum.
     fn reassemble(payload: &[u8], version: u32) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-        out.extend_from_slice(&FPLAN_MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload);
-        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        out
+        codec::seal(FPLAN_MAGIC, version, payload)
     }
 
     fn payload_of(bytes: &[u8]) -> Vec<u8> {
-        bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN].to_vec()
+        bytes[HEADER_LEN..bytes.len() - TRAILER_LEN].to_vec()
+    }
+
+    /// The little-endian encoding of `words`, as the payload stores them.
+    fn words(words: &[u64]) -> Vec<u8> {
+        let mut w = Writer::new();
+        words.iter().for_each(|&v| w.u64(v));
+        w.into_bytes()
+    }
+
+    /// Offset of the `max_batch | out_offset | arena_len` words in `payload`.
+    fn arena_header_at(plan: &ExecPlan, payload: &[u8]) -> usize {
+        let header =
+            words(&[plan.max_batch as u64, plan.out_offset as u64, plan.arena.len() as u64]);
+        payload.windows(header.len()).position(|w| w == header).expect("arena header is encoded")
     }
 
     #[test]
@@ -1091,12 +974,8 @@ mod tests {
         // abort the process, so decoding must refuse it first.
         let plan = pooled_plan();
         let mut payload = payload_of(&plan.to_bytes());
-        let header: Vec<u8> = [plan.max_batch, plan.out_offset, plan.arena.len()]
-            .iter()
-            .flat_map(|&v| (v as u64).to_le_bytes())
-            .collect();
-        let at = payload.windows(header.len()).position(|w| w == header).unwrap() + 16;
-        payload[at..at + 8].copy_from_slice(&(1u64 << 44).to_le_bytes());
+        let at = arena_header_at(&plan, &payload) + 16;
+        payload[at..at + 8].copy_from_slice(&words(&[1 << 44]));
         let forged = reassemble(&payload, FPLAN_VERSION);
         match ExecPlan::from_bytes(&forged) {
             Err(GraphError::Malformed(msg)) => assert!(msg.contains("arena"), "{msg}"),
@@ -1106,11 +985,51 @@ mod tests {
         // (im2col 288 + conv with fused ReLU 48 + pool 12 + linear 4) = 1056:
         // the bound itself loads, one float past it is refused.
         let mut with_arena = |len: u64| {
-            payload[at..at + 8].copy_from_slice(&len.to_le_bytes());
+            payload[at..at + 8].copy_from_slice(&words(&[len]));
             ExecPlan::from_bytes(&reassemble(&payload, FPLAN_VERSION))
         };
         assert_eq!(with_arena(1056).unwrap().arena_len(), 1056);
         assert!(matches!(with_arena(1057), Err(GraphError::Malformed(_))));
+    }
+
+    #[test]
+    fn forged_max_batch_is_malformed_before_allocating() {
+        // A consistent forgery: max_batch, every slot offset and arena_len
+        // scaled together by 2^38 (max_batch ≈ 8.2e11, arena ≈ 1.1 PiB), with
+        // the checksum re-sealed. Every slot still fits its arena and the
+        // arena still equals what the steps imply; only the size cap stands
+        // between this artifact and the allocation.
+        let scale = 1usize << 38;
+        let mut plan = pooled_plan();
+        let arena_len = plan.arena.len() * scale;
+        let scale_src = |src: &mut Src| {
+            if let Src::Arena { offset } = src {
+                *offset *= scale;
+            }
+        };
+        for step in &mut plan.steps {
+            match step {
+                Step::Conv2d { src, cols_offset, dst_offset, .. } => {
+                    scale_src(src);
+                    *cols_offset *= scale;
+                    *dst_offset *= scale;
+                }
+                Step::MaxPool2d { src, dst_offset, .. } | Step::Linear { src, dst_offset, .. } => {
+                    scale_src(src);
+                    *dst_offset *= scale;
+                }
+                other => panic!("pooled_plan has no {other:?} step"),
+            }
+        }
+        plan.max_batch *= scale;
+        plan.out_offset *= scale;
+        let mut payload = encode_payload(&plan);
+        let at = arena_header_at(&plan, &payload) + 16;
+        payload[at..at + 8].copy_from_slice(&words(&[arena_len as u64]));
+        match ExecPlan::from_bytes(&reassemble(&payload, FPLAN_VERSION)) {
+            Err(GraphError::Malformed(msg)) => assert!(msg.contains("cap"), "{msg}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1119,7 +1038,10 @@ mod tests {
         let payload = payload_of(&plan.to_bytes());
         // Cut into the trailing scale table: the count no longer fits.
         let cut = reassemble(&payload[..payload.len() - 2], FPLAN_VERSION);
-        assert!(matches!(ExecPlan::from_bytes(&cut), Err(GraphError::Truncated { .. })));
+        assert!(matches!(
+            ExecPlan::from_bytes(&cut),
+            Err(GraphError::Codec(CodecError::Truncated { what: "quantized scales", .. }))
+        ));
     }
 
     #[test]
@@ -1129,7 +1051,9 @@ mod tests {
         for bad in [f32::NAN, 0.0, -1.0] {
             let mut payload = payload_of(&bytes);
             let n = payload.len();
-            payload[n - 4..].copy_from_slice(&bad.to_bits().to_le_bytes());
+            let mut w = Writer::new();
+            w.f32(bad);
+            payload[n - 4..].copy_from_slice(&w.into_bytes());
             let forged = reassemble(&payload, FPLAN_VERSION);
             match ExecPlan::from_bytes(&forged) {
                 Err(GraphError::Malformed(msg)) => {
@@ -1146,8 +1070,8 @@ mod tests {
         for bad in [0u32, FPLAN_VERSION + 1, 99] {
             assert!(matches!(
                 ExecPlan::from_bytes(&reassemble(&payload, bad)),
-                Err(GraphError::UnsupportedVersion { found, supported: FPLAN_VERSION })
-                    if found == bad
+                Err(GraphError::Codec(CodecError::UnsupportedVersion { found, supported }))
+                    if found == bad && supported == (FPLAN_MIN_VERSION..=FPLAN_VERSION)
             ));
         }
     }

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use fuse_tensor::codec::CodecError;
 use fuse_tensor::TensorError;
 
 /// Errors produced while building, compiling or running an op graph.
@@ -32,32 +33,10 @@ pub enum GraphError {
     Tensor(TensorError),
     /// Reading or writing a plan artifact failed at the I/O layer.
     Io(String),
-    /// The file is not a plan artifact (wrong magic bytes).
-    BadMagic {
-        /// The first four bytes actually found.
-        found: [u8; 4],
-    },
-    /// The artifact was written with a format version this build cannot read.
-    UnsupportedVersion {
-        /// Version stamped in the artifact header.
-        found: u32,
-        /// The newest version this build supports (it reads `1..=supported`).
-        supported: u32,
-    },
-    /// The artifact payload does not match its recorded checksum.
-    ChecksumMismatch {
-        /// Checksum stored in the artifact trailer.
-        stored: u64,
-        /// Checksum recomputed over the payload as read.
-        computed: u64,
-    },
-    /// The artifact ended before a complete record could be decoded.
-    Truncated {
-        /// Bytes the decoder needed next.
-        needed: usize,
-        /// Bytes remaining in the artifact.
-        available: usize,
-    },
+    /// The artifact's container or byte encoding is corrupt: wrong magic,
+    /// unsupported version, checksum mismatch, truncation, oversized payload
+    /// or trailing bytes.
+    Codec(CodecError),
     /// The artifact decoded structurally but describes an invalid plan
     /// (out-of-range offsets, inconsistent lengths, unknown tags, ...).
     Malformed(String),
@@ -76,24 +55,7 @@ impl fmt::Display for GraphError {
             }
             GraphError::Tensor(e) => write!(f, "tensor kernel error: {e}"),
             GraphError::Io(msg) => write!(f, "plan artifact i/o error: {msg}"),
-            GraphError::BadMagic { found } => {
-                write!(f, "not a plan artifact: magic bytes {found:?} != b\"FPLN\"")
-            }
-            GraphError::UnsupportedVersion { found, supported } => {
-                write!(
-                    f,
-                    "plan artifact format v{found} unsupported (this build reads v1..=v{supported})"
-                )
-            }
-            GraphError::ChecksumMismatch { stored, computed } => {
-                write!(
-                    f,
-                    "plan artifact checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-                )
-            }
-            GraphError::Truncated { needed, available } => {
-                write!(f, "plan artifact truncated: needed {needed} more bytes, found {available}")
-            }
+            GraphError::Codec(e) => write!(f, "plan artifact: {e}"),
             GraphError::Malformed(msg) => write!(f, "malformed plan artifact: {msg}"),
         }
     }
@@ -103,6 +65,7 @@ impl std::error::Error for GraphError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             GraphError::Tensor(e) => Some(e),
+            GraphError::Codec(e) => Some(e),
             _ => None,
         }
     }
@@ -111,5 +74,11 @@ impl std::error::Error for GraphError {
 impl From<TensorError> for GraphError {
     fn from(e: TensorError) -> Self {
         GraphError::Tensor(e)
+    }
+}
+
+impl From<CodecError> for GraphError {
+    fn from(e: CodecError) -> Self {
+        GraphError::Codec(e)
     }
 }

@@ -3,39 +3,15 @@
 use std::error::Error;
 use std::fmt;
 
+use fuse_tensor::codec::CodecError;
+
 /// Error returned by fallible wire operations (framing, transports, RPC).
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetError {
-    /// The buffer ended before the structure it should contain did.
-    Truncated {
-        /// What was being decoded when the bytes ran out.
-        what: &'static str,
-    },
-    /// The frame does not open with the `FNET` magic.
-    BadMagic {
-        /// The four bytes found where the magic should be.
-        found: [u8; 4],
-    },
-    /// The frame's format version is not supported by this decoder.
-    UnsupportedVersion {
-        /// The version found in the frame header.
-        found: u32,
-    },
-    /// The payload does not hash to the checksum in the frame trailer.
-    ChecksumMismatch {
-        /// Checksum recorded in the trailer.
-        expected: u64,
-        /// Checksum computed over the received payload.
-        actual: u64,
-    },
-    /// The header declares a payload longer than the decoder's sanity bound
-    /// (a corrupt length field must not become a giant allocation).
-    FrameTooLarge {
-        /// Declared payload length.
-        len: u64,
-        /// Maximum accepted payload length.
-        max: u64,
-    },
+    /// A frame or message failed at the byte level: wrong magic,
+    /// unsupported version, checksum mismatch, truncation, an oversized
+    /// payload or trailing bytes.
+    Codec(CodecError),
     /// A frame payload decoded cleanly as bytes but not as the expected
     /// message structure.
     Decode(String),
@@ -51,20 +27,7 @@ pub enum NetError {
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            NetError::Truncated { what } => write!(f, "truncated wire data while reading {what}"),
-            NetError::BadMagic { found } => {
-                write!(f, "bad frame magic {found:?} (expected \"FNET\")")
-            }
-            NetError::UnsupportedVersion { found } => {
-                write!(f, "unsupported frame version {found}")
-            }
-            NetError::ChecksumMismatch { expected, actual } => write!(
-                f,
-                "frame checksum mismatch: trailer {expected:#018x}, payload hashes to {actual:#018x}"
-            ),
-            NetError::FrameTooLarge { len, max } => {
-                write!(f, "frame declares a {len}-byte payload (max {max})")
-            }
+            NetError::Codec(e) => write!(f, "wire codec error: {e}"),
             NetError::Decode(msg) => write!(f, "wire decode error: {msg}"),
             NetError::Io(msg) => write!(f, "transport I/O error: {msg}"),
             NetError::Timeout => write!(f, "remote call timed out after all retransmissions"),
@@ -73,7 +36,20 @@ impl fmt::Display for NetError {
     }
 }
 
-impl Error for NetError {}
+impl Error for NetError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            NetError::Codec(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<CodecError> for NetError {
+    fn from(e: CodecError) -> Self {
+        NetError::Codec(e)
+    }
+}
 
 impl From<std::io::Error> for NetError {
     fn from(e: std::io::Error) -> Self {
@@ -87,12 +63,16 @@ mod tests {
 
     #[test]
     fn display_mentions_the_interesting_numbers() {
-        assert!(NetError::Truncated { what: "frame header" }.to_string().contains("frame header"));
-        assert!(NetError::BadMagic { found: *b"JUNK" }.to_string().contains("FNET"));
-        assert!(NetError::UnsupportedVersion { found: 9 }.to_string().contains('9'));
-        let e = NetError::ChecksumMismatch { expected: 1, actual: 2 };
+        let cut = CodecError::Truncated { what: "frame header", needed: 16, available: 3 };
+        assert!(NetError::from(cut).to_string().contains("frame header"));
+        let magic = CodecError::BadMagic { expected: *b"FNET", found: *b"JUNK" };
+        assert!(NetError::from(magic).to_string().contains("FNET"));
+        let version = CodecError::UnsupportedVersion { found: 9, supported: 1..=1 };
+        assert!(NetError::from(version).to_string().contains('9'));
+        let e = NetError::from(CodecError::ChecksumMismatch { stored: 1, computed: 2 });
         assert!(e.to_string().contains("0x"));
-        assert!(NetError::FrameTooLarge { len: 10, max: 5 }.to_string().contains("10"));
+        let large = CodecError::TooLarge { len: 10, max: 5 };
+        assert!(NetError::from(large).to_string().contains("10"));
         assert!(NetError::Decode("tag 77".into()).to_string().contains("tag 77"));
     }
 

@@ -1,16 +1,14 @@
 //! The `FNET` wire frame: the length-prefixed, checksummed container every
 //! byte on a cluster link travels in.
 //!
-//! The layout continues the workspace's binary-container discipline (the
-//! `FCKP` checkpoint and `FPLN` plan artifact): ASCII magic, little-endian
-//! format version, explicit payload length, opaque payload, FNV-1a-64
-//! trailer. Normatively:
+//! The container is [`fuse_tensor::codec::seal`]'s, byte for byte the one
+//! `.fplan` artifacts use. Normatively:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic, ASCII "FNET"
 //! 4       4     format version, u32 LE (currently 1)
-//! 8       8     payload length N, u64 LE
+//! 8       8     payload length N, u64 LE (at most 1 GiB)
 //! 16      N     payload (opaque to the framing layer)
 //! 16+N    8     FNV-1a-64 of the payload, u64 LE
 //! ```
@@ -21,7 +19,8 @@
 //! over the payload only (the header is validated structurally), and a
 //! mismatch is a typed error, never a silent truncation.
 
-use crate::error::NetError;
+use fuse_tensor::codec;
+
 use crate::Result;
 
 /// Frame magic: `"FNET"`.
@@ -30,37 +29,9 @@ pub const FRAME_MAGIC: [u8; 4] = *b"FNET";
 /// Current frame format version.
 pub const FRAME_VERSION: u32 = 1;
 
-/// Fixed header size: magic + version + payload length.
-pub const FRAME_HEADER_LEN: usize = 16;
-
-/// Fixed trailer size: the FNV-1a-64 checksum.
-pub const FRAME_TRAILER_LEN: usize = 8;
-
-/// Sanity bound on the declared payload length (1 GiB): a corrupt length
-/// field must surface as a typed error, not an absurd allocation.
-pub const MAX_FRAME_PAYLOAD: u64 = 1 << 30;
-
-/// FNV-1a 64-bit hash — the same checksum the `FCKP` and `FPLN` containers
-/// use, so one implementation discipline covers every container format in
-/// the workspace.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Wraps `payload` in a complete `FNET` frame.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + FRAME_TRAILER_LEN);
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&FRAME_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-    out
+    codec::seal(FRAME_MAGIC, FRAME_VERSION, payload)
 }
 
 /// Validates a frame header and returns the *total* frame length (header +
@@ -69,74 +40,36 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Truncated`] when fewer than [`FRAME_HEADER_LEN`]
-/// bytes are given, and the magic/version/length errors of [`decode_frame`].
+/// Returns [`crate::NetError::Codec`] when fewer than
+/// [`codec::HEADER_LEN`] bytes are given, or the magic, version or declared
+/// length is wrong.
 pub fn frame_len(header: &[u8]) -> Result<usize> {
-    if header.len() < FRAME_HEADER_LEN {
-        return Err(NetError::Truncated { what: "frame header" });
-    }
-    let magic: [u8; 4] = header[0..4].try_into().expect("sliced to 4 bytes");
-    if magic != FRAME_MAGIC {
-        return Err(NetError::BadMagic { found: magic });
-    }
-    let version = u32::from_le_bytes(header[4..8].try_into().expect("sliced to 4 bytes"));
-    if version != FRAME_VERSION {
-        return Err(NetError::UnsupportedVersion { found: version });
-    }
-    let payload_len = u64::from_le_bytes(header[8..16].try_into().expect("sliced to 8 bytes"));
-    if payload_len > MAX_FRAME_PAYLOAD {
-        return Err(NetError::FrameTooLarge { len: payload_len, max: MAX_FRAME_PAYLOAD });
-    }
-    Ok(FRAME_HEADER_LEN + payload_len as usize + FRAME_TRAILER_LEN)
+    Ok(codec::sealed_len(header, FRAME_MAGIC, FRAME_VERSION..=FRAME_VERSION)?)
 }
 
 /// Decodes exactly one frame from `bytes` and returns its payload.
 ///
 /// # Errors
 ///
-/// Returns the typed header errors of [`frame_len`],
-/// [`NetError::Truncated`] when the buffer is shorter (or, as a decode
-/// error, longer) than the declared frame, and
-/// [`NetError::ChecksumMismatch`] when the payload does not hash to the
-/// trailer.
+/// Returns [`crate::NetError::Codec`] for the header errors of
+/// [`frame_len`], a buffer shorter or longer than the declared frame, and a
+/// payload that does not hash to the trailer.
 pub fn decode_frame(bytes: &[u8]) -> Result<&[u8]> {
-    let total = frame_len(bytes)?;
-    if bytes.len() < total {
-        return Err(NetError::Truncated { what: "frame payload" });
-    }
-    if bytes.len() > total {
-        return Err(NetError::Decode(format!(
-            "{} trailing bytes after a {total}-byte frame",
-            bytes.len() - total
-        )));
-    }
-    let payload = &bytes[FRAME_HEADER_LEN..total - FRAME_TRAILER_LEN];
-    let expected =
-        u64::from_le_bytes(bytes[total - FRAME_TRAILER_LEN..].try_into().expect("8-byte trailer"));
-    let actual = fnv1a64(payload);
-    if expected != actual {
-        return Err(NetError::ChecksumMismatch { expected, actual });
-    }
-    Ok(payload)
+    Ok(codec::open(bytes, FRAME_MAGIC, FRAME_VERSION..=FRAME_VERSION)?.1)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use fuse_tensor::codec::{CodecError, HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN};
 
-    #[test]
-    fn fnv1a64_matches_the_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
+    use super::*;
+    use crate::NetError;
 
     #[test]
     fn frames_round_trip() {
         for payload in [&b""[..], b"x", b"the quick brown fox", &[0u8; 1000]] {
             let frame = encode_frame(payload);
-            assert_eq!(frame.len(), FRAME_HEADER_LEN + payload.len() + FRAME_TRAILER_LEN);
+            assert_eq!(frame.len(), HEADER_LEN + payload.len() + TRAILER_LEN);
             assert_eq!(decode_frame(&frame).unwrap(), payload);
         }
     }
@@ -144,47 +77,58 @@ mod tests {
     #[test]
     fn corruption_matrix_yields_typed_errors() {
         let frame = encode_frame(b"payload");
+        let codec_err = |bytes: &[u8]| match decode_frame(bytes).unwrap_err() {
+            NetError::Codec(e) => e,
+            other => panic!("expected a codec error, got {other:?}"),
+        };
 
         // Truncated header.
         assert_eq!(
-            decode_frame(&frame[..10]).unwrap_err(),
-            NetError::Truncated { what: "frame header" }
+            codec_err(&frame[..10]),
+            CodecError::Truncated { what: "payload length", needed: 8, available: 2 }
         );
         // Wrong magic.
         let mut bad = frame.clone();
         bad[0] = b'J';
-        assert!(matches!(decode_frame(&bad).unwrap_err(), NetError::BadMagic { .. }));
+        assert_eq!(
+            codec_err(&bad),
+            CodecError::BadMagic { expected: FRAME_MAGIC, found: *b"JNET" }
+        );
         // Unsupported version.
         let mut bad = frame.clone();
         bad[4] = 99; // low byte of the LE version word
-        assert_eq!(decode_frame(&bad).unwrap_err(), NetError::UnsupportedVersion { found: 99 });
+        assert_eq!(codec_err(&bad), CodecError::UnsupportedVersion { found: 99, supported: 1..=1 });
         // Truncated payload.
         assert_eq!(
-            decode_frame(&frame[..frame.len() - 1]).unwrap_err(),
-            NetError::Truncated { what: "frame payload" }
+            codec_err(&frame[..frame.len() - 1]),
+            CodecError::Truncated { what: "checksum", needed: 8, available: 7 }
+        );
+        assert_eq!(
+            codec_err(&frame[..HEADER_LEN + 3]),
+            CodecError::Truncated { what: "payload", needed: 7, available: 3 }
         );
         // Flipped payload byte → checksum mismatch.
         let mut bad = frame.clone();
-        bad[FRAME_HEADER_LEN] ^= 0xff;
-        assert!(matches!(decode_frame(&bad).unwrap_err(), NetError::ChecksumMismatch { .. }));
+        bad[HEADER_LEN] ^= 0xff;
+        assert!(matches!(codec_err(&bad), CodecError::ChecksumMismatch { .. }));
         // Flipped trailer byte → checksum mismatch.
         let mut bad = frame.clone();
         let last = bad.len() - 1;
         bad[last] ^= 0xff;
-        assert!(matches!(decode_frame(&bad).unwrap_err(), NetError::ChecksumMismatch { .. }));
+        assert!(matches!(codec_err(&bad), CodecError::ChecksumMismatch { .. }));
         // Trailing garbage.
         let mut bad = frame.clone();
         bad.push(0);
-        assert!(matches!(decode_frame(&bad).unwrap_err(), NetError::Decode(_)));
+        assert_eq!(codec_err(&bad), CodecError::Trailing { what: "checksum", extra: 1 });
         // Absurd declared length.
         let mut bad = frame;
-        bad[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(decode_frame(&bad).unwrap_err(), NetError::FrameTooLarge { .. }));
+        bad[8..16].fill(0xff);
+        assert_eq!(codec_err(&bad), CodecError::TooLarge { len: u64::MAX, max: MAX_PAYLOAD });
     }
 
     #[test]
     fn frame_len_reports_the_full_frame_size() {
         let frame = encode_frame(b"12345");
-        assert_eq!(frame_len(&frame[..FRAME_HEADER_LEN]).unwrap(), frame.len());
+        assert_eq!(frame_len(&frame[..HEADER_LEN]).unwrap(), frame.len());
     }
 }

@@ -5,20 +5,19 @@
 //!
 //! 1. [`frame`] — the `FNET` container every byte on a link travels in:
 //!    ASCII magic, version, explicit payload length, FNV-1a-64 trailer
-//!    (the same discipline as the `FCKP` checkpoint and `FPLN` plan
-//!    containers). Corruption surfaces as typed errors, never as silently
-//!    wrong bytes.
-//! 2. [`wire`] — primitive little-endian encoders/decoders. Floats travel
-//!    as IEEE-754 bit patterns, so every value decodes to exactly the bits
-//!    that were encoded: the workspace's bit-reproducibility contract
-//!    extends across hosts.
-//! 3. [`transport`] — the pluggable link: [`transport::TcpTransport`] for
+//!    (`fuse_tensor::codec`'s sealed container, shared with `.fplan`).
+//!    Corruption surfaces as typed errors, never as silently wrong bytes.
+//!    Frames and messages are encoded with the codec's `Writer`/`Reader`;
+//!    floats travel as IEEE-754 bit patterns, so every value decodes to
+//!    exactly the bits that were encoded: the workspace's
+//!    bit-reproducibility contract extends across hosts.
+//! 2. [`transport`] — the pluggable link: [`transport::TcpTransport`] for
 //!    real/loopback TCP, [`sim::SimTransport`] for deterministic in-memory
 //!    links with injectable delay, drop, duplication and reordering.
-//! 4. [`rpc`] — stop-and-wait request/response with retransmission and
+//! 3. [`rpc`] — stop-and-wait request/response with retransmission and
 //!    duplicate suppression: exactly-once request execution over a link
 //!    that may drop, duplicate or reorder frames.
-//! 5. [`message`] — [`message::WireRequest`] / [`message::WireResponse`],
+//! 4. [`message`] — [`message::WireRequest`] / [`message::WireResponse`],
 //!    the operations a host shard serves. They mirror the local shard
 //!    worker's command set, so a cluster router drives remote and
 //!    in-process shards through the same contract.
@@ -34,10 +33,9 @@ pub mod message;
 pub mod rpc;
 pub mod sim;
 pub mod transport;
-pub mod wire;
 
 pub use error::NetError;
-pub use frame::{decode_frame, encode_frame, fnv1a64, FRAME_MAGIC, FRAME_VERSION};
+pub use frame::{decode_frame, encode_frame, FRAME_MAGIC, FRAME_VERSION};
 pub use message::{
     WireCheckpointMeta, WireCloseReport, WireError, WireFlushReport, WireGauge, WireRequest,
     WireResponse,

@@ -9,10 +9,10 @@
 //! "migrate a session to another host, outputs stay bit-identical" a
 //! provable property instead of a hope.
 //!
-//! Encoding discipline (see `crate::wire`): little-endian throughout, `u8`
-//! variant tags, `u64` collection lengths, strings as length-prefixed
-//! UTF-8. Decoders consume the entire buffer ([`crate::wire::Reader::finish`])
-//! so trailing garbage is an error.
+//! Encoding discipline (see `fuse_tensor::codec`): little-endian
+//! throughout, `u8` variant tags, `u64` collection lengths, strings as
+//! length-prefixed UTF-8. Decoders consume the entire buffer
+//! ([`Reader::finish`]) so trailing garbage is an error.
 
 use fuse_core::{FineTuneConfig, FineTuneResult, FineTuneScope, PoseError};
 use fuse_dataset::{EncodedDataset, EncodedSample};
@@ -23,10 +23,10 @@ use fuse_serve::{
     LatencyRecorder, ServeError, ServeResponse, SessionConfig, SessionState, SloClass, Stage,
 };
 use fuse_skeleton::Movement;
+use fuse_tensor::codec::{self, Reader, Writer};
 use fuse_tensor::{Normalizer, Tensor};
 
 use crate::error::NetError;
-use crate::wire::{Reader, Writer};
 use crate::Result;
 
 /// A request from the cluster router to a host shard.
@@ -289,7 +289,11 @@ fn encode_tensor(w: &mut Writer, t: &Tensor) {
 
 fn decode_tensor(r: &mut Reader<'_>) -> Result<Tensor> {
     let rank = r.len_prefix(8, "tensor rank")?;
-    let dims: Vec<usize> = (0..rank).map(|_| r.usize("tensor dim")).collect::<Result<_>>()?;
+    let dims: Vec<usize> =
+        (0..rank).map(|_| r.usize("tensor dim")).collect::<codec::Result<_>>()?;
+    if dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d)).is_none() {
+        return Err(NetError::Decode(format!("tensor dims {dims:?} overflow")));
+    }
     let data = r.f32_vec("tensor data")?;
     Tensor::from_vec(data, &dims).map_err(|e| NetError::Decode(format!("tensor: {e}")))
 }
@@ -767,7 +771,7 @@ impl WireRequest {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Truncated`] / [`NetError::Decode`] on any
+    /// Returns [`NetError::Codec`] / [`NetError::Decode`] on any
     /// malformed, short or over-long encoding.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let mut r = Reader::new(bytes);
@@ -807,7 +811,7 @@ impl WireRequest {
             }
             other => return Err(NetError::Decode(format!("bad request tag {other}"))),
         };
-        r.finish()?;
+        r.finish("message")?;
         Ok(req)
     }
 }
@@ -882,7 +886,7 @@ impl WireResponse {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Truncated`] / [`NetError::Decode`] on any
+    /// Returns [`NetError::Codec`] / [`NetError::Decode`] on any
     /// malformed, short or over-long encoding.
     pub fn decode(bytes: &[u8]) -> Result<Self> {
         let mut r = Reader::new(bytes);
@@ -895,7 +899,8 @@ impl WireResponse {
                     other => return Err(NetError::Decode(format!("bad adapted flag {other}"))),
                 };
                 let n = r.len_prefix(8, "close unserved")?;
-                let unserved = (0..n).map(|_| r.u64("unserved frame")).collect::<Result<_>>()?;
+                let unserved =
+                    (0..n).map(|_| r.u64("unserved frame")).collect::<codec::Result<_>>()?;
                 WireResponse::Closed(WireCloseReport { adapted, unserved })
             }
             RESP_SUBMITTED => WireResponse::Submitted,
@@ -934,13 +939,15 @@ impl WireResponse {
             RESP_ERROR => WireResponse::Error(decode_wire_error(&mut r)?),
             other => return Err(NetError::Decode(format!("bad response tag {other}"))),
         };
-        r.finish()?;
+        r.finish("message")?;
         Ok(resp)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use fuse_tensor::codec::CodecError;
+
     use super::*;
 
     fn frame(index: usize) -> PointCloudFrame {
@@ -1214,12 +1221,15 @@ mod tests {
         // Trailing bytes after a complete message.
         let mut bytes = WireRequest::Flush.encode();
         bytes.push(0);
-        assert!(matches!(WireRequest::decode(&bytes), Err(NetError::Decode(_))));
+        assert_eq!(
+            WireRequest::decode(&bytes).unwrap_err(),
+            NetError::Codec(CodecError::Trailing { what: "message", extra: 1 })
+        );
         // A truncated submit.
         let bytes = WireRequest::Submit { id: 1, frame: frame(0) }.encode();
         assert!(matches!(
             WireRequest::decode(&bytes[..bytes.len() - 3]),
-            Err(NetError::Truncated { .. })
+            Err(NetError::Codec(CodecError::Truncated { .. }))
         ));
         // A movement index beyond the roster.
         let sample = EncodedSample {

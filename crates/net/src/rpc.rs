@@ -28,6 +28,8 @@
 
 use std::time::{Duration, Instant};
 
+use fuse_tensor::codec::{Reader, Writer};
+
 use crate::error::NetError;
 use crate::transport::Transport;
 use crate::Result;
@@ -44,23 +46,21 @@ pub const DEFAULT_RPC_TIMEOUT: Duration = Duration::from_millis(50);
 pub const DEFAULT_RPC_ATTEMPTS: u32 = 200;
 
 fn encode_envelope(kind: u8, seq: u64, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9 + body.len());
-    out.push(kind);
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(body);
-    out
+    let mut w = Writer::with_capacity(9 + body.len());
+    w.u8(kind);
+    w.u64(seq);
+    w.raw(body);
+    w.into_bytes()
 }
 
 fn decode_envelope(payload: &[u8]) -> Result<(u8, u64, &[u8])> {
-    if payload.len() < 9 {
-        return Err(NetError::Truncated { what: "rpc envelope" });
-    }
-    let kind = payload[0];
+    let mut r = Reader::new(payload);
+    let kind = r.u8("rpc envelope kind")?;
+    let seq = r.u64("rpc envelope sequence")?;
     if kind != KIND_REQUEST && kind != KIND_RESPONSE {
         return Err(NetError::Decode(format!("unknown rpc envelope kind {kind}")));
     }
-    let seq = u64::from_le_bytes(payload[1..9].try_into().expect("sliced to 8 bytes"));
-    Ok((kind, seq, &payload[9..]))
+    Ok((kind, seq, r.rest()))
 }
 
 /// The calling side: one outstanding request at a time, retransmitted until

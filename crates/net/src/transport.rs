@@ -20,8 +20,10 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
+use fuse_tensor::codec::HEADER_LEN;
+
 use crate::error::NetError;
-use crate::frame::{decode_frame, encode_frame, frame_len, FRAME_HEADER_LEN};
+use crate::frame::{decode_frame, encode_frame, frame_len};
 use crate::Result;
 
 /// A bidirectional, frame-oriented, possibly-unreliable link endpoint.
@@ -87,7 +89,7 @@ impl TcpTransport {
     /// Pops one complete frame's payload off the head of `rx_buf`, when one
     /// is fully buffered.
     fn take_buffered_frame(&mut self) -> Result<Option<Vec<u8>>> {
-        if self.rx_buf.len() < FRAME_HEADER_LEN {
+        if self.rx_buf.len() < HEADER_LEN {
             return Ok(None);
         }
         let total = frame_len(&self.rx_buf)?;

@@ -10,6 +10,7 @@
 use std::fs;
 use std::path::Path;
 
+use fuse_tensor::codec::{fnv1a64, CodecError, Reader, Writer, TRAILER_LEN};
 use serde::{Deserialize, Serialize};
 
 use crate::error::NnError;
@@ -76,26 +77,24 @@ impl Checkpoint {
     ///
     /// All integers little-endian; `f32` values stored as the little-endian
     /// bytes of their IEEE-754 bit patterns, so the round trip is bit-exact.
+    /// The payload layout is specified in `REPRODUCIBILITY.md`.
     pub fn to_binary(&self) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(self.params.len() * 4 + 256);
-        put_str(&mut payload, &self.model_name);
-        payload.extend_from_slice(&(self.param_len as u64).to_le_bytes());
-        payload.extend_from_slice(&(self.layer_names.len() as u32).to_le_bytes());
+        let mut payload = Writer::with_capacity(self.params.len() * 4 + 256);
+        payload.str_u32(&self.model_name);
+        payload.usize(self.param_len);
+        payload.len_prefix_u32(self.layer_names.len());
         for name in &self.layer_names {
-            put_str(&mut payload, name);
+            payload.str_u32(name);
         }
-        payload.extend_from_slice(&(self.params.len() as u64).to_le_bytes());
-        for &p in &self.params {
-            payload.extend_from_slice(&p.to_bits().to_le_bytes());
-        }
+        payload.f32_slice(&self.params);
+        let payload = payload.into_bytes();
 
-        let mut out = Vec::with_capacity(payload.len() + 16);
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        let checksum = fnv1a64(&payload);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+        let mut out = Writer::with_capacity(8 + payload.len() + TRAILER_LEN);
+        out.raw(&CHECKPOINT_MAGIC);
+        out.u32(CHECKPOINT_VERSION);
+        out.raw(&payload);
+        out.u64(fnv1a64(&payload));
+        out.into_bytes()
     }
 
     /// Decodes a checkpoint from the binary container.
@@ -106,60 +105,7 @@ impl Checkpoint {
     /// unsupported version, truncation, or a checksum mismatch. Never
     /// panics.
     pub fn from_binary(bytes: &[u8]) -> Result<Checkpoint> {
-        if bytes.len() < 8 + 8 {
-            return Err(NnError::Serialization(format!(
-                "binary checkpoint truncated: {} bytes is shorter than any valid container",
-                bytes.len()
-            )));
-        }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("4 bytes");
-        if magic != CHECKPOINT_MAGIC {
-            return Err(NnError::Serialization(format!(
-                "not a binary checkpoint: magic bytes {magic:?} != b\"FCKP\""
-            )));
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version != CHECKPOINT_VERSION {
-            return Err(NnError::Serialization(format!(
-                "binary checkpoint format v{version} unsupported (this build reads v{CHECKPOINT_VERSION})"
-            )));
-        }
-        let payload = &bytes[8..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-        let computed = fnv1a64(payload);
-        if stored != computed {
-            return Err(NnError::Serialization(format!(
-                "binary checkpoint checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-            )));
-        }
-
-        let mut pos = 0usize;
-        let model_name = take_str(payload, &mut pos)?;
-        let param_len = take_u64(payload, &mut pos)? as usize;
-        let name_count = take_u32(payload, &mut pos)? as usize;
-        let mut layer_names = Vec::with_capacity(name_count.min(1024));
-        for _ in 0..name_count {
-            layer_names.push(take_str(payload, &mut pos)?);
-        }
-        let value_count = take_u64(payload, &mut pos)? as usize;
-        let available = payload.len() - pos;
-        if value_count.checked_mul(4).map(|need| need > available).unwrap_or(true) {
-            return Err(NnError::Serialization(format!(
-                "binary checkpoint truncated: {value_count} parameters recorded, {available} bytes remain"
-            )));
-        }
-        let mut params = Vec::with_capacity(value_count);
-        for _ in 0..value_count {
-            let raw = take_u32(payload, &mut pos)?;
-            params.push(f32::from_bits(raw));
-        }
-        if pos != payload.len() {
-            return Err(NnError::Serialization(format!(
-                "binary checkpoint has {} trailing payload bytes",
-                payload.len() - pos
-            )));
-        }
-        Ok(Checkpoint { model_name, param_len, layer_names, params })
+        decode_binary(bytes).map_err(|e| NnError::Serialization(format!("binary checkpoint: {e}")))
     }
 
     /// Writes the checkpoint to `path` as JSON.
@@ -193,17 +139,7 @@ impl Checkpoint {
     pub fn read(path: &Path) -> Result<Checkpoint> {
         let bytes = fs::read(path)
             .map_err(|e| NnError::Serialization(format!("read {}: {e}", path.display())))?;
-        if bytes.starts_with(&CHECKPOINT_MAGIC) {
-            Checkpoint::from_binary(&bytes)
-        } else {
-            let json = std::str::from_utf8(&bytes).map_err(|e| {
-                NnError::Serialization(format!(
-                    "{} is neither binary nor UTF-8 JSON: {e}",
-                    path.display()
-                ))
-            })?;
-            Checkpoint::from_json(json)
-        }
+        Checkpoint::from_bytes(&bytes)
     }
 
     /// Decodes a checkpoint from an in-memory buffer, auto-detecting the
@@ -266,45 +202,22 @@ impl Checkpoint {
     }
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+fn decode_binary(bytes: &[u8]) -> std::result::Result<Checkpoint, CodecError> {
+    let mut r = Reader::new(bytes);
+    r.header(CHECKPOINT_MAGIC, CHECKPOINT_VERSION..=CHECKPOINT_VERSION)?;
+    // No length field: the payload is everything up to the trailer.
+    let payload = r.raw(r.remaining().saturating_sub(TRAILER_LEN), "payload")?;
+    r.checksum(payload)?;
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn take_bytes<'a>(payload: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-    let available = payload.len() - *pos;
-    if available < n {
-        return Err(NnError::Serialization(format!(
-            "binary checkpoint truncated: needed {n} more bytes, found {available}"
-        )));
-    }
-    let out = &payload[*pos..*pos + n];
-    *pos += n;
-    Ok(out)
-}
-
-fn take_u32(payload: &[u8], pos: &mut usize) -> Result<u32> {
-    Ok(u32::from_le_bytes(take_bytes(payload, pos, 4)?.try_into().expect("4 bytes")))
-}
-
-fn take_u64(payload: &[u8], pos: &mut usize) -> Result<u64> {
-    Ok(u64::from_le_bytes(take_bytes(payload, pos, 8)?.try_into().expect("8 bytes")))
-}
-
-fn take_str(payload: &[u8], pos: &mut usize) -> Result<String> {
-    let len = take_u32(payload, pos)? as usize;
-    let bytes = take_bytes(payload, pos, len)?;
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| NnError::Serialization("checkpoint string is not valid UTF-8".into()))
+    let mut r = Reader::new(payload);
+    let model_name = r.str_u32("model name")?;
+    let param_len = r.usize("param_len")?;
+    let name_count = r.len_prefix_u32(4, "layer name count")?;
+    let layer_names =
+        (0..name_count).map(|_| r.str_u32("layer name")).collect::<std::result::Result<_, _>>()?;
+    let params = r.f32_vec("parameters")?;
+    r.finish("parameters")?;
+    Ok(Checkpoint { model_name, param_len, layer_names, params })
 }
 
 #[cfg(test)]

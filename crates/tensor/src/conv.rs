@@ -44,13 +44,21 @@ impl Conv2dSpec {
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidConvolution`] when the padded input is
-    /// smaller than the kernel or the stride is zero.
+    /// smaller than the kernel or overflows, or the stride is zero.
     pub fn output_size(&self, h: usize, w: usize) -> Result<(usize, usize)> {
         if self.stride == 0 {
             return Err(TensorError::InvalidConvolution("stride must be nonzero".into()));
         }
-        let ph = h + 2 * self.padding;
-        let pw = w + 2 * self.padding;
+        // Geometry may come from a decoded artifact, so overflow is an error.
+        let padded = |n: usize| {
+            self.padding.checked_mul(2).and_then(|p| p.checked_add(n)).ok_or_else(|| {
+                TensorError::InvalidConvolution(format!(
+                    "input {n} padded by {} overflows",
+                    self.padding
+                ))
+            })
+        };
+        let (ph, pw) = (padded(h)?, padded(w)?);
         if ph < self.kernel || pw < self.kernel {
             return Err(TensorError::InvalidConvolution(format!(
                 "padded input {ph}x{pw} smaller than kernel {k}x{k}",

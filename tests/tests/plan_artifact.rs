@@ -17,6 +17,7 @@ use fuse_graph::{ExecPlan, Graph, GraphError, TensorMeta, FPLAN_MIN_VERSION, FPL
 use fuse_nn::{LoweringRequest, Sequential};
 use fuse_parallel::{with_min_parallel_work, with_threads};
 use fuse_serve::{ServeConfig, ServeEngine};
+use fuse_tensor::codec::{self, CodecError, Reader, Writer, HEADER_LEN, TRAILER_LEN};
 use fuse_tensor::{Conv2dSpec, Tensor};
 use fuse_tests::golden::{goldens_dir, update_requested};
 
@@ -99,35 +100,46 @@ fn corrupted_artifacts_yield_typed_errors() {
     bad_magic[..4].copy_from_slice(b"JSON");
     assert!(matches!(
         ExecPlan::from_bytes(&bad_magic),
-        Err(GraphError::BadMagic { found }) if &found == b"JSON"
+        Err(GraphError::Codec(CodecError::BadMagic { found, .. })) if &found == b"JSON"
     ));
 
     // A future format version must be refused, not misparsed.
+    let mut version = Writer::new();
+    version.u32(FPLAN_VERSION + 1);
     let mut bumped = bytes.clone();
-    bumped[4..8].copy_from_slice(&(FPLAN_VERSION + 1).to_le_bytes());
+    bumped[4..8].copy_from_slice(&version.into_bytes());
     assert!(matches!(
         ExecPlan::from_bytes(&bumped),
-        Err(GraphError::UnsupportedVersion { found, supported })
-            if found == FPLAN_VERSION + 1 && supported == FPLAN_VERSION
+        Err(GraphError::Codec(CodecError::UnsupportedVersion { found, supported }))
+            if found == FPLAN_VERSION + 1 && supported == (FPLAN_MIN_VERSION..=FPLAN_VERSION)
     ));
 
     // A flipped payload byte is caught by the checksum before decoding.
     let mut flipped = bytes.clone();
     let mid = bytes.len() / 2;
     flipped[mid] ^= 0xff;
-    assert!(matches!(ExecPlan::from_bytes(&flipped), Err(GraphError::ChecksumMismatch { .. })));
+    assert!(matches!(
+        ExecPlan::from_bytes(&flipped),
+        Err(GraphError::Codec(CodecError::ChecksumMismatch { .. }))
+    ));
 
     // A flipped checksum byte likewise.
     let mut bad_sum = bytes.clone();
     let last = bytes.len() - 1;
     bad_sum[last] ^= 0xff;
-    assert!(matches!(ExecPlan::from_bytes(&bad_sum), Err(GraphError::ChecksumMismatch { .. })));
+    assert!(matches!(
+        ExecPlan::from_bytes(&bad_sum),
+        Err(GraphError::Codec(CodecError::ChecksumMismatch { .. }))
+    ));
 
     // Truncation anywhere — inside the header, the payload or the checksum
     // trailer — is a typed error, never a panic.
     for cut in [0, 3, 8, 15, 16, bytes.len() / 2, bytes.len() - 9, bytes.len() - 1] {
         assert!(
-            matches!(ExecPlan::from_bytes(&bytes[..cut]), Err(GraphError::Truncated { .. })),
+            matches!(
+                ExecPlan::from_bytes(&bytes[..cut]),
+                Err(GraphError::Codec(CodecError::Truncated { .. }))
+            ),
             "cut at {cut} bytes must report truncation"
         );
     }
@@ -135,7 +147,10 @@ fn corrupted_artifacts_yield_typed_errors() {
     // Trailing garbage after the checksum means the length field lies.
     let mut extended = bytes.clone();
     extended.extend_from_slice(b"tail");
-    assert!(matches!(ExecPlan::from_bytes(&extended), Err(GraphError::Malformed(_))));
+    assert!(matches!(
+        ExecPlan::from_bytes(&extended),
+        Err(GraphError::Codec(CodecError::Trailing { extra: 4, .. }))
+    ));
 
     // The reloadable original still loads after all that slicing.
     assert!(ExecPlan::from_bytes(&bytes).is_ok());
@@ -145,31 +160,23 @@ fn corrupted_artifacts_yield_typed_errors() {
 /// field and FNV-1a-64 checksum so payload-level corruptions reach the
 /// decoder instead of tripping the checksum gate first.
 fn reassemble(payload: &[u8], version: u32) -> Vec<u8> {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in payload {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(b"FPLN");
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&hash.to_le_bytes());
-    out
+    codec::seal(*b"FPLN", version, payload)
 }
 
 #[test]
 fn corrupted_quantized_artifacts_yield_typed_errors() {
     let bytes = pooled_plan(2).quantize().unwrap().to_bytes();
-    let payload = &bytes[16..bytes.len() - 8];
+    let payload = &bytes[HEADER_LEN..bytes.len() - TRAILER_LEN];
 
     // Cutting into the trailing int8 weight/scale tables and re-stamping the
     // checksum must surface as typed truncation from the decoder itself.
     for cut in [1usize, 3, 8] {
         let short = reassemble(&payload[..payload.len() - cut], FPLAN_VERSION);
         assert!(
-            matches!(ExecPlan::from_bytes(&short), Err(GraphError::Truncated { .. })),
+            matches!(
+                ExecPlan::from_bytes(&short),
+                Err(GraphError::Codec(CodecError::Truncated { .. }))
+            ),
             "cutting {cut} bytes of the quantized tables must report truncation"
         );
     }
@@ -184,8 +191,8 @@ fn corrupted_quantized_artifacts_yield_typed_errors() {
         let stamped = reassemble(payload, bad);
         assert!(matches!(
             ExecPlan::from_bytes(&stamped),
-            Err(GraphError::UnsupportedVersion { found, supported })
-                if found == bad && supported == FPLAN_VERSION
+            Err(GraphError::Codec(CodecError::UnsupportedVersion { found, supported }))
+                if found == bad && supported == (FPLAN_MIN_VERSION..=FPLAN_VERSION)
         ));
     }
 
@@ -275,7 +282,7 @@ fn committed_v1_fixture_still_loads_under_the_v2_reader() {
     let path = goldens_dir().join("tiny_v1.fplan");
     let committed = std::fs::read(&path)
         .unwrap_or_else(|e| panic!("missing frozen v1 fixture {} ({e})", path.display()));
-    assert_eq!(u32::from_le_bytes(committed[4..8].try_into().unwrap()), 1, "fixture must be v1");
+    assert_eq!(Reader::new(&committed[4..8]).u32("version").unwrap(), 1, "fixture must be v1");
 
     let mut session = EdgeSession::from_bytes(&committed).unwrap();
     assert!(!session.is_quantized(), "v1 artifacts predate quantized sections");
