@@ -19,7 +19,7 @@ use fuse_parallel::{with_min_parallel_work, with_threads};
 use fuse_serve::{ServeConfig, ServeEngine};
 use fuse_tensor::codec::{self, CodecError, Reader, Writer, HEADER_LEN, TRAILER_LEN};
 use fuse_tensor::{Conv2dSpec, Tensor};
-use fuse_tests::golden::{goldens_dir, update_requested};
+use fuse_tests::golden::{check_or_update_bytes, goldens_dir};
 
 /// Runs `f` under every backend × thread-count leg of the CI matrix (scalar
 /// and SIMD kernels, serial and forced-parallel dispatch) inside one process.
@@ -238,28 +238,11 @@ fn committed_fplan_fixture_stays_loadable_and_byte_stable() {
     // must be bumped and the fixture regenerated with `UPDATE_GOLDENS=1`
     // (committing the previous fixture as `tiny_v<N>.fplan` to keep the
     // backward-compatibility gate below honest).
-    let path = goldens_dir().join("tiny.fplan");
-    let bytes = fixture_plan().to_bytes();
-    if update_requested() {
-        std::fs::write(&path, &bytes).unwrap();
-        eprintln!("updated golden {}", path.display());
-        return;
-    }
-    let committed = std::fs::read(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing committed fixture {} ({e}); regenerate with UPDATE_GOLDENS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        committed, bytes,
-        "the .fplan encoding drifted from the committed fixture; an intentional \
-         format change requires a FPLAN_VERSION bump and UPDATE_GOLDENS=1"
-    );
+    check_or_update_bytes("tiny.fplan", &fixture_plan().to_bytes());
 
     // The committed bytes still load through the edge runtime and serve the
     // same outputs as a freshly compiled plan.
-    let mut session = EdgeSession::load(&path).unwrap();
+    let mut session = EdgeSession::load(goldens_dir().join("tiny.fplan")).unwrap();
     assert_eq!(session.max_batch(), 2);
     assert_eq!(session.input_meta().dims(), &[2, 4, 4]);
     let mut fresh = fixture_plan();
