@@ -33,14 +33,13 @@ use fuse_net::message::{WireCheckpointMeta, WireCloseReport, WireFlushReport, Wi
 use fuse_net::{NetError, RpcClient, RpcServer, Transport, WireError, WireRequest, WireResponse};
 use fuse_nn::Sequential;
 use fuse_parallel::channel::{bounded, Receiver, Sender};
-use fuse_serve::{ServeEngine, ServeError};
+use fuse_serve::{ServeEngine, ServeError, SwapSource};
 
 use crate::config::ClusterConfig;
 use crate::error::ClusterError;
 use crate::metrics::ShardGauge;
 use crate::worker::{
     CheckpointMeta, CloseReport, Command, FlushReport, ShardResult, ShardSnapshot, ShardWorker,
-    SwapSource,
 };
 use crate::Result;
 

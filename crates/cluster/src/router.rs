@@ -8,11 +8,11 @@ use std::thread::JoinHandle;
 use fuse_core::{FineTuneConfig, FineTuneResult};
 use fuse_dataset::EncodedDataset;
 use fuse_net::Transport;
-use fuse_nn::{NnError, Sequential};
+use fuse_nn::Sequential;
 use fuse_parallel::channel::{bounded, Sender};
 use fuse_radar::PointCloudFrame;
 use fuse_serve::{
-    LatencyRecorder, ServeEngine, ServeError, ServeResponse, SessionConfig, Stage,
+    LatencyRecorder, ServeEngine, ServeResponse, SessionConfig, Stage, SwapSource,
     DEFAULT_SAMPLE_WINDOW,
 };
 
@@ -21,7 +21,7 @@ use crate::config::ClusterConfig;
 use crate::error::ClusterError;
 use crate::metrics::ClusterMetrics;
 use crate::remote::spawn_remote_shard;
-use crate::worker::{Command, ShardWorker, SwapSource};
+use crate::worker::{Command, ShardWorker};
 use crate::Result;
 
 /// Where one of the cluster's shards runs.
@@ -535,44 +535,36 @@ impl ClusterRouter {
         }
     }
 
-    /// Atomically hot-swaps a `fuse-nn` checkpoint (JSON or binary) into
-    /// **every** shard: phase one validates the checkpoint on each shard
-    /// without touching its served weights
-    /// ([`ServeEngine::prepare_hot_swap`]); only when all shards accept does
-    /// phase two commit — so either the whole cluster serves the new weights
-    /// (every shard's version bumped together) or no shard does.
+    /// Atomically hot-swaps a `fuse-nn` checkpoint file (JSON or binary)
+    /// into **every** shard. The file is read once; phase one runs
+    /// [`ServeEngine::prepare_swap`] on every shard — in-process or remote,
+    /// all on the same bytes — without touching their served weights, and
+    /// only when all shards accept does phase two commit, so either the
+    /// whole cluster serves the new weights (every shard's version bumped
+    /// together) or no shard does.
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::SwapAborted`] naming the first shard that
-    /// rejected the checkpoint; the cluster keeps serving the old weights.
+    /// Propagates a read failure, and returns [`ClusterError::SwapAborted`]
+    /// naming the first shard that rejected the payload; the cluster keeps
+    /// serving the old weights.
     pub fn hot_swap(&mut self, path: &Path) -> Result<SwapReport> {
-        self.fan_out_swap(SwapSource::Checkpoint(Arc::new(read_swap_payload(path)?)))
+        self.fan_out_swap(SwapSource::checkpoint_file(path)?)
     }
 
-    /// Atomically hot-swaps a serialized `.fplan` compiled-plan artifact
-    /// (written by [`ServeEngine::export_plan`]) into **every** shard, with
-    /// the same two-phase all-or-nothing fan-out as
-    /// [`ClusterRouter::hot_swap`] — each shard validates the artifact
-    /// against its served model and engine geometry
-    /// ([`ServeEngine::prepare_hot_swap_plan`]) before any shard commits.
-    /// Unlike a checkpoint swap, the shards install the artifact's compiled
-    /// schedule directly: no per-shard recompilation after commit.
+    /// Atomically hot-swaps a `.fplan` artifact file (written by
+    /// [`ServeEngine::export_plan`]) into **every** shard, with the same
+    /// all-or-nothing fan-out as [`ClusterRouter::hot_swap`]; the shards
+    /// install the artifact's compiled schedule as shipped.
     ///
     /// # Errors
     ///
-    /// Returns [`ClusterError::SwapAborted`] naming the first shard that
-    /// rejected the artifact; the cluster keeps serving the old weights.
+    /// As for [`ClusterRouter::hot_swap`].
     pub fn hot_swap_plan(&mut self, path: &Path) -> Result<SwapReport> {
-        let name =
-            path.file_stem().and_then(|s| s.to_str()).unwrap_or("fplan-artifact").to_string();
-        let bytes = Arc::new(read_swap_payload(path)?);
-        self.fan_out_swap(SwapSource::PlanArtifact { bytes, name })
+        self.fan_out_swap(SwapSource::plan_file(path)?)
     }
 
-    /// The shared two-phase fan-out behind both swap flavours. The payload
-    /// was read from disk exactly once; every shard — in-process or remote —
-    /// validates the same bytes.
+    /// The two-phase fan-out behind both swap entry points.
     fn fan_out_swap(&mut self, source: SwapSource) -> Result<SwapReport> {
         // Phase 1: validate everywhere, commit nowhere.
         let mut acks = Vec::with_capacity(self.senders.len());
@@ -717,14 +709,4 @@ impl Drop for ClusterRouter {
     fn drop(&mut self) {
         self.finish();
     }
-}
-
-/// Reads a swap payload (checkpoint or plan artifact) off disk, once.
-fn read_swap_payload(path: &Path) -> Result<Vec<u8>> {
-    std::fs::read(path).map_err(|e| {
-        ClusterError::Serve(ServeError::Nn(NnError::Serialization(format!(
-            "read {}: {e}",
-            path.display()
-        ))))
-    })
 }

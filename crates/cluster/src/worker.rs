@@ -29,11 +29,11 @@ use std::sync::Arc;
 
 use fuse_core::{FineTuneConfig, FineTuneResult};
 use fuse_dataset::EncodedDataset;
-use fuse_nn::Checkpoint;
 use fuse_parallel::channel::{Receiver, Sender, TryRecvError};
 use fuse_radar::PointCloudFrame;
 use fuse_serve::{
     PreparedSwap, ServeEngine, ServeError, ServeResponse, SessionConfig, SessionState, SloClass,
+    SwapSource,
 };
 
 use crate::config::{BackpressurePolicy, BackpressureSpec, ClassBackpressure};
@@ -69,23 +69,6 @@ pub(crate) struct FlushReport {
 pub(crate) struct CheckpointMeta {
     pub model_name: String,
     pub param_len: usize,
-}
-
-/// What a fan-out hot-swap loads on every shard.
-///
-/// Swap payloads travel as **bytes**, not paths: the router reads the file
-/// once and fans the same buffer out to every shard (local workers and
-/// remote hosts alike), so all shards validate byte-identical input and a
-/// remote shard needs no shared filesystem.
-#[derive(Debug, Clone)]
-pub(crate) enum SwapSource {
-    /// A `fuse-nn` checkpoint (`FCKP` binary or JSON): weights only, each
-    /// shard recompiles its plan after commit.
-    Checkpoint(Arc<Vec<u8>>),
-    /// A serialized `.fplan` compiled-plan artifact: weights *and* schedule,
-    /// installed on each shard without recompilation. Carries the model name
-    /// recorded for diagnostics (derived from the file stem).
-    PlanArtifact { bytes: Arc<Vec<u8>>, name: String },
 }
 
 /// A shard's metrics snapshot: its recorder plus gauges.
@@ -394,15 +377,7 @@ impl ShardWorker {
                 let _ = ack.send(snapshot);
             }
             Command::PrepareSwap { source, ack } => {
-                let prepared = match &source {
-                    SwapSource::Checkpoint(bytes) => Checkpoint::from_bytes(bytes)
-                        .map_err(ServeError::from)
-                        .and_then(|ckpt| self.engine.prepare_hot_swap_checkpoint(ckpt)),
-                    SwapSource::PlanArtifact { bytes, name } => {
-                        self.engine.prepare_hot_swap_plan_bytes(bytes, name)
-                    }
-                };
-                let result = prepared.map(|prepared| {
+                let result = self.engine.prepare_swap(&source).map(|prepared| {
                     let meta = CheckpointMeta {
                         model_name: prepared.checkpoint().model_name.clone(),
                         param_len: prepared.checkpoint().param_len,
@@ -414,7 +389,7 @@ impl ShardWorker {
             }
             Command::CommitSwap { ack } => {
                 if let Some(prepared) = self.prepared.take() {
-                    self.engine.commit_hot_swap(prepared);
+                    self.engine.commit_swap(prepared);
                 }
                 let _ = ack.send(self.engine.model_version());
             }

@@ -298,10 +298,14 @@ fn decode_tensor(r: &mut Reader<'_>) -> Result<Tensor> {
     Tensor::from_vec(data, &dims).map_err(|e| NetError::Decode(format!("tensor: {e}")))
 }
 
+/// The `u64` after the sample window is reserved: it carried a frame
+/// counter of a serving path that no longer exists. It is written as `0` and
+/// read and discarded, so the layout (and every committed frame) stays
+/// unchanged until the next `FRAME_VERSION` bump drops it.
 fn encode_recorder(w: &mut Writer, rec: &LatencyRecorder) {
     w.f64(rec.budget_ms());
     w.u64(rec.sample_window() as u64);
-    w.u64(rec.legacy_fallback_frames());
+    w.u64(0);
     for stage in Stage::ALL {
         let samples: Vec<f64> = rec.stage_samples(stage).collect();
         w.u64(samples.len() as u64);
@@ -314,9 +318,8 @@ fn encode_recorder(w: &mut Writer, rec: &LatencyRecorder) {
 fn decode_recorder(r: &mut Reader<'_>) -> Result<LatencyRecorder> {
     let budget = r.f64("latency budget")?;
     let window = r.usize("sample window")?;
-    let fallback = r.u64("fallback frames")?;
+    r.u64("reserved recorder slot")?;
     let mut rec = LatencyRecorder::new(budget).with_sample_window(window);
-    rec.record_legacy_fallback(fallback);
     for stage in Stage::ALL {
         let n = r.len_prefix(8, "latency samples")?;
         for _ in 0..n {
@@ -1166,7 +1169,6 @@ mod tests {
         rec.record(Stage::Fuse, 1.25);
         rec.record(Stage::Inference, 3.5);
         rec.record(Stage::Total, 5.75);
-        rec.record_legacy_fallback(2);
         let gauge = WireGauge {
             shard: 1,
             sessions: 2,
@@ -1191,7 +1193,6 @@ mod tests {
         assert_eq!(g2, gauge);
         assert_eq!(recorder.budget_ms(), 22.0);
         assert_eq!(recorder.sample_window(), 16);
-        assert_eq!(recorder.legacy_fallback_frames(), 2);
         for stage in Stage::ALL {
             let got: Vec<f64> = recorder.stage_samples(stage).collect();
             let want: Vec<f64> = rec.stage_samples(stage).collect();

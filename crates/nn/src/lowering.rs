@@ -8,12 +8,13 @@
 //!
 //! Lowering is total only for layers that implement
 //! [`crate::Layer::lowering`]; anything else makes the whole model
-//! non-lowerable. What happens then is the request's [`FallbackPolicy`]:
-//! [`FallbackPolicy::Deny`] surfaces the error, [`FallbackPolicy::LegacyWalk`]
-//! reports a [`Compiled::Fallback`] carrying the reason so the serving engine
-//! can walk the layer list instead — visibly, not silently. Either way the
-//! contract stays simple: a compiled plan covers the entire model
-//! bit-identically or does not exist.
+//! non-lowerable, and a compiled plan covers the entire model
+//! bit-identically or does not exist. The serving engine compiles with
+//! `lower()?.compile(max_batch)?` and refuses a model that does not lower.
+//! [`LoweringRequest::compile`] with a [`FallbackPolicy`] is for callers
+//! that only probe whether a model compiles: under
+//! [`FallbackPolicy::LegacyWalk`] it reports the reason as a
+//! [`Compiled::Fallback`] value instead of an error.
 
 use fuse_graph::{ExecPlan, Graph, GraphError, TensorMeta};
 

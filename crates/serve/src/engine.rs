@@ -17,25 +17,24 @@
 //!   per-sample kernel in the stack is batch-composition independent, so the
 //!   responses of a step are bit-identical for any submission interleaving
 //!   and any `FUSE_THREADS`.
-//! * **Compiled execution plans** — at construction (and again after every
-//!   hot-swap or adaptation) the served model is lowered to a `fuse-graph`
-//!   op graph and compiled into an [`ExecPlan`]: fused conv+bias+ReLU
-//!   dispatches, pre-planned arena buffers, zero steady-state allocations.
-//!   Plans are bit-identical to the layer walk by contract. Any model the
-//!   compiler cannot lower falls back to the legacy [`Sequential::forward`]
-//!   path — *visibly*: the lowering error is logged once per model version,
-//!   kept behind [`ServeEngine::fallback_reason`], and every frame served
-//!   through the walk is counted by
-//!   [`crate::LatencyRecorder::legacy_fallback_frames`].
-//! * **Checkpoint & plan-artifact hot-swap** — [`ServeEngine::hot_swap`]
-//!   loads a `fuse-nn` checkpoint (JSON or binary) into the shared base
-//!   model without touching adapted sessions; the checkpoint is validated
-//!   against the compiled plan's shape signature (or, without a plan, on a
-//!   clone) first, so a corrupt checkpoint leaves the engine serving the old
-//!   weights. [`ServeEngine::export_plan`] /
-//!   [`ServeEngine::hot_swap_plan`] do the same with a serialized `.fplan`
-//!   compiled-plan artifact, which carries the schedule alongside the
-//!   weights and installs without recompiling.
+//! * **Plans only** — every model the engine serves is a compiled
+//!   [`ExecPlan`]: at construction, and again for every hot-swap and
+//!   adaptation, the model is lowered to a `fuse-graph` op graph and
+//!   compiled (fused conv+bias+ReLU dispatches, pre-planned arena buffers,
+//!   zero steady-state allocations). [`Sequential::forward`] is the
+//!   reference plans are tested against bit for bit, not a serving path: a
+//!   model that does not lower is refused with [`ServeError::Graph`] by
+//!   [`ServeEngine::new`], [`ServeEngine::adapt_session`] and
+//!   [`ServeEngine::reopen_with_history`].
+//! * **One hot-swap ladder** — a [`SwapSource`] carries either a `fuse-nn`
+//!   checkpoint (JSON or binary) or a `.fplan` compiled-plan artifact
+//!   ([`ServeEngine::export_plan`]). [`ServeEngine::prepare_swap`] decodes
+//!   it, validates it against the installed plan's shape signature and
+//!   builds what the swap installs (a checkpoint's plan is compiled there,
+//!   an artifact's schedule is installed as shipped) without touching the
+//!   engine; [`ServeEngine::commit_swap`] installs it and cannot fail.
+//!   [`ServeEngine::hot_swap`] and [`ServeEngine::hot_swap_plan`] do both
+//!   for a file. Adapted sessions keep their private models.
 //!   [`ServeEngine::export_quantized_plan`] writes the int8 weight-quantized
 //!   variant (format v2); hot-swapping such an artifact installs the
 //!   quantized plan and applies its dequantized weights to the base model,
@@ -46,12 +45,13 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::Instant;
 
-use fuse_core::{FineTuneConfig, FineTuneResult};
+use fuse_core::{fine_tune, FineTuneConfig, FineTuneResult};
 use fuse_dataset::{EncodedDataset, FeatureMapBuilder, FrameFusion};
 use fuse_graph::{ExecPlan, GraphError};
-use fuse_nn::{Checkpoint, Compiled, FallbackPolicy, LoweringRequest, NnError, Sequential};
+use fuse_nn::{Checkpoint, LoweringRequest, NnError, Sequential};
 use fuse_radar::PointCloudFrame;
 use fuse_tensor::Tensor;
 
@@ -158,28 +158,69 @@ impl PendingFrame {
     }
 }
 
-/// A checkpoint validated against the engine's architecture but not yet
-/// applied (see [`ServeEngine::prepare_hot_swap`]).
+/// What a hot-swap loads: a checkpoint or a compiled-plan artifact, as
+/// bytes.
 ///
-/// Holding a `PreparedSwap` means the checkpoint decoded cleanly and its
-/// layout matches the served model; committing it cannot fail. A cluster
-/// router uses this split to fan a swap out atomically: *prepare* on every
-/// shard, and only if all of them succeed, *commit* on all — so either every
-/// shard serves the new weights or none does.
+/// Payloads travel as bytes, not paths: a cluster router reads the file once
+/// and fans the same buffer out to every shard, local or remote, so every
+/// shard validates byte-identical input and a remote shard needs no shared
+/// filesystem.
+#[derive(Debug, Clone)]
+pub enum SwapSource {
+    /// A `fuse-nn` checkpoint (`FCKP` binary or JSON): weights only; the
+    /// plan is compiled from them at prepare time.
+    Checkpoint(Arc<Vec<u8>>),
+    /// A serialized `.fplan` artifact: weights *and* compiled schedule,
+    /// installed without recompiling. The artifact carries no name, so the
+    /// source records one for the swap's [`Checkpoint`].
+    PlanArtifact {
+        /// The verbatim `.fplan` bytes.
+        bytes: Arc<Vec<u8>>,
+        /// Model name recorded for the swap.
+        name: String,
+    },
+}
+
+impl SwapSource {
+    /// Reads a checkpoint file (JSON or binary) once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::Serialization`] when the file cannot be read.
+    pub fn checkpoint_file(path: &Path) -> Result<Self> {
+        let bytes = std::fs::read(path)
+            .map_err(|e| NnError::Serialization(format!("read {}: {e}", path.display())))?;
+        Ok(SwapSource::Checkpoint(Arc::new(bytes)))
+    }
+
+    /// Reads a `.fplan` artifact file once, naming the swap after the file
+    /// stem (`"fplan"` when the stem is not UTF-8).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::Io`] when the file cannot be read.
+    pub fn plan_file(path: &Path) -> Result<Self> {
+        let bytes = std::fs::read(path)
+            .map_err(|e| GraphError::Io(format!("reading {}: {e}", path.display())))?;
+        let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("fplan").to_string();
+        Ok(SwapSource::PlanArtifact { bytes: Arc::new(bytes), name })
+    }
+}
+
+/// A swap validated against the engine and ready to install
+/// ([`ServeEngine::prepare_swap`]): the replacement base model, its plan and
+/// the checkpoint describing it.
 ///
-/// When the engine holds a compiled plan, validation runs against the plan's
-/// [`fuse_graph::ShapeSignature`] and no candidate model is materialised; the
-/// legacy clone-and-load path is kept only for non-lowerable models.
+/// Holding a `PreparedSwap` means every way the swap can fail has been
+/// checked, so [`ServeEngine::commit_swap`] cannot fail. A cluster router
+/// uses this split to fan a swap out atomically: *prepare* on every shard,
+/// and only if all of them succeed, *commit* on all — so either every shard
+/// serves the new weights or none does.
 #[derive(Debug)]
 pub struct PreparedSwap {
-    /// Pre-loaded replacement model; `None` when validation went through the
-    /// compiled plan's shape signature and commit applies the flat params
-    /// directly.
-    candidate: Option<Sequential>,
+    model: Sequential,
+    plan: ExecPlan,
     checkpoint: Checkpoint,
-    /// A deserialized `.fplan` artifact ([`ServeEngine::prepare_hot_swap_plan`]);
-    /// commit installs it directly instead of recompiling the model.
-    plan: Option<ExecPlan>,
 }
 
 impl PreparedSwap {
@@ -238,14 +279,8 @@ pub struct SessionState {
 pub struct ServeEngine {
     config: ServeConfig,
     base: Sequential,
-    /// Compiled execution plan of the base model; `None` when the model has a
-    /// layer without an op-graph lowering (the step falls back to the legacy
-    /// layer walk).
-    base_plan: Option<ExecPlan>,
-    /// Why the base model has no compiled plan, when it has none. The reason
-    /// is logged once at compile time (compilation happens exactly once per
-    /// model version) and kept here so operators can query it.
-    fallback_reason: Option<GraphError>,
+    /// Compiled execution plan of the base model.
+    base_plan: ExecPlan,
     /// Reusable `[max_batch × C·H·W]` input staging buffer for plan runs, so
     /// stacking a micro-batch allocates nothing in steady state.
     staging: Vec<f32>,
@@ -262,18 +297,18 @@ impl ServeEngine {
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] when the configuration is
-    /// invalid.
+    /// invalid and [`ServeError::Graph`] when the model does not lower to a
+    /// plan for the configured feature map.
     pub fn new(model: Sequential, config: ServeConfig) -> Result<Self> {
         config.validate()?;
         let recorder = LatencyRecorder::new(config.budget_ms);
-        let (base_plan, fallback_reason) = compile_or_log(&model, &config, "base model v0");
+        let base_plan = compile_plan(&model, &config)?;
         let input_len: usize = config.feature_map.input_dims().iter().product();
         let staging = vec![0.0; config.max_batch * input_len];
         Ok(ServeEngine {
             config,
             base: model,
             base_plan,
-            fallback_reason,
             staging,
             model_version: 0,
             sessions: BTreeMap::new(),
@@ -293,18 +328,10 @@ impl ServeEngine {
         &self.base
     }
 
-    /// The compiled execution plan of the base model, when it lowered
-    /// cleanly; recompiled on every [`ServeEngine::hot_swap`].
-    pub fn plan(&self) -> Option<&ExecPlan> {
-        self.base_plan.as_ref()
-    }
-
-    /// Why the base model is served through the legacy layer walk, when it
-    /// is (`None` while a compiled plan is installed). Frames served through
-    /// the fallback are counted by
-    /// [`crate::LatencyRecorder::legacy_fallback_frames`].
-    pub fn fallback_reason(&self) -> Option<&GraphError> {
-        self.fallback_reason.as_ref()
+    /// The compiled execution plan of the base model; replaced by every
+    /// [`ServeEngine::commit_swap`].
+    pub fn plan(&self) -> &ExecPlan {
+        &self.base_plan
     }
 
     /// Version counter of the shared base model; each successful
@@ -590,54 +617,24 @@ impl ServeEngine {
             }
         }
 
-        // Split borrows: the compiled plans, the staging buffer and the
-        // models live in different fields, and the plan path needs the plan
-        // (mutably, for its arena) and the staging buffer at the same time.
+        // Split borrows: each plan runs (mutably, for its arena) against the
+        // staging buffer, a different field.
         let model_version = self.model_version;
-        let ServeEngine { sessions, base, base_plan, staging, recorder, .. } = &mut *self;
+        let ServeEngine { sessions, base_plan, staging, .. } = &mut *self;
 
         if !base_features.is_empty() {
-            if let Some(plan) = base_plan.as_mut() {
-                let cols = plan.output_meta().len();
-                let output = run_plan(plan, staging, &base_features)?;
-                extend_responses(&mut responses, &base_keys, output, cols, model_version, false);
-            } else {
-                recorder.record_legacy_fallback(base_keys.len() as u64);
-                let stacked = Tensor::stack(&base_features).map_err(fuse_nn::NnError::from)?;
-                let output = base.forward(&stacked, false)?;
-                let cols = output.dims()[1];
-                extend_responses(
-                    &mut responses,
-                    &base_keys,
-                    output.as_slice(),
-                    cols,
-                    model_version,
-                    false,
-                );
-            }
+            let cols = base_plan.output_meta().len();
+            let output = run_plan(base_plan, staging, &base_features)?;
+            extend_responses(&mut responses, &base_keys, output, cols, model_version, false);
         }
         for (session_id, (keys, features)) in &adapted_groups {
-            let session =
-                sessions.get_mut(session_id).ok_or(ServeError::UnknownSession(*session_id))?;
-            if let Some(plan) = session.plan_mut() {
-                let cols = plan.output_meta().len();
-                let output = run_plan(plan, staging, features)?;
-                extend_responses(&mut responses, keys, output, cols, model_version, true);
-            } else {
-                recorder.record_legacy_fallback(keys.len() as u64);
-                let model = session.model_mut().ok_or(ServeError::UnknownSession(*session_id))?;
-                let stacked = Tensor::stack(features).map_err(fuse_nn::NnError::from)?;
-                let output = model.forward(&stacked, false)?;
-                let cols = output.dims()[1];
-                extend_responses(
-                    &mut responses,
-                    keys,
-                    output.as_slice(),
-                    cols,
-                    model_version,
-                    true,
-                );
-            }
+            let plan = sessions
+                .get_mut(session_id)
+                .and_then(Session::plan_mut)
+                .ok_or(ServeError::UnknownSession(*session_id))?;
+            let cols = plan.output_meta().len();
+            let output = run_plan(plan, staging, features)?;
+            extend_responses(&mut responses, keys, output, cols, model_version, true);
         }
         self.recorder.record(Stage::Inference, ms_since(inference_start));
         for submitted in submit_times {
@@ -659,14 +656,19 @@ impl ServeEngine {
     }
 
     /// Fine-tunes a session online on `data` (used as both the adaptation and
-    /// per-epoch evaluation set). The first adaptation clones the shared base
-    /// model into the session; later calls continue from the session's
-    /// private weights.
+    /// per-epoch evaluation set). The first adaptation starts from the shared
+    /// base model; later calls continue from the session's private weights.
+    ///
+    /// Training runs on a copy: the session's private model and its plan
+    /// are replaced only once fine-tuning *and* compiling the result
+    /// succeed, so a failed call leaves the session serving exactly what it
+    /// served before.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownSession`] for an unopened id and
-    /// propagates fine-tuning errors.
+    /// propagates fine-tuning ([`ServeError::Core`]) and compilation
+    /// ([`ServeError::Graph`]) errors.
     pub fn adapt_session(
         &mut self,
         id: u64,
@@ -674,68 +676,63 @@ impl ServeEngine {
         config: &FineTuneConfig,
     ) -> Result<FineTuneResult> {
         let session = self.sessions.get_mut(&id).ok_or(ServeError::UnknownSession(id))?;
-        let result = session.adapt(&self.base, data, config)?;
-        // The private weights changed; recompile the session's plan (the
-        // parameters are snapshotted into the plan at lowering time).
-        let plan = session.model().and_then(|model| {
-            compile_or_log(model, &self.config, &format!("session {id} adapted model")).0
-        });
-        session.set_plan(plan);
+        let mut model = session.model().unwrap_or(&self.base).clone();
+        let result = fine_tune(&mut model, data, data, data, config)?;
+        let plan = compile_plan(&model, &self.config)?;
+        session.install_model(model, plan);
         Ok(result)
     }
 
-    /// Validates a `fuse-nn` checkpoint (JSON or binary, auto-detected by
-    /// [`Checkpoint::read`]) against this engine's model architecture
-    /// *without* applying it, returning a [`PreparedSwap`] whose commit
-    /// cannot fail. The engine itself is untouched (`&self`).
+    /// Decodes and validates a swap payload against this engine *without*
+    /// applying it, returning a [`PreparedSwap`] whose commit cannot fail.
+    /// The engine itself is untouched (`&self`).
     ///
-    /// With a compiled plan the checkpoint is checked against the plan's
-    /// [`fuse_graph::ShapeSignature`] — parameter count and layer names, the
-    /// same checks [`Checkpoint::apply_to`] performs, in the same order — so
-    /// a mismatched checkpoint is a typed pre-commit error and no model
-    /// clone is ever materialised. Only a non-lowerable model falls back to
-    /// validating on a clone.
+    /// One ladder serves both sources, in this order:
     ///
-    /// A cluster router calls this on every shard first and commits only if
-    /// every shard prepared successfully — the all-or-nothing fan-out.
+    /// 1. decode the checkpoint or `.fplan` artifact;
+    /// 2. parameter count — the parameter vector, then a checkpoint's own
+    ///    `param_len` field — against the installed plan's
+    ///    [`fuse_graph::ShapeSignature`] ([`NnError::ParamLengthMismatch`]);
+    /// 3. layer names against the same signature
+    ///    ([`NnError::ArchitectureMismatch`]);
+    /// 4. for an artifact, the engine geometry: its input shape must equal
+    ///    the configured feature map's and its compiled `max_batch` must
+    ///    cover the engine's micro-batch cap (both [`GraphError::Shape`]);
+    /// 5. for a checkpoint, compile its plan, so a plan that fails to compile
+    ///    aborts a cluster fan-out instead of reaching commit.
     ///
-    /// # Errors
-    ///
-    /// Propagates read/decode/layout errors as [`ServeError::Nn`].
-    pub fn prepare_hot_swap(&self, path: &Path) -> Result<PreparedSwap> {
-        self.prepare_hot_swap_checkpoint(Checkpoint::read(path)?)
-    }
-
-    /// [`ServeEngine::prepare_hot_swap`] for a checkpoint that is already in
-    /// memory — the entry point for checkpoints that arrive as wire payloads
-    /// (a cluster router reads the file once and ships the decoded bytes to
-    /// every shard, local or remote) rather than as per-shard file reads.
+    /// An artifact's parameters land in the base model as
+    /// [`ExecPlan::dequantized_params`] — the full f32 layout for float and
+    /// int8 artifacts alike — while the installed plan executes the
+    /// artifact's own tables.
     ///
     /// # Errors
     ///
-    /// Propagates layout mismatches as [`ServeError::Nn`].
-    pub fn prepare_hot_swap_checkpoint(&self, checkpoint: Checkpoint) -> Result<PreparedSwap> {
-        let Some(plan) = &self.base_plan else {
-            let mut candidate = self.base.clone();
-            checkpoint.apply_to(&mut candidate)?;
-            return Ok(PreparedSwap { candidate: Some(candidate), checkpoint, plan: None });
-        };
-        let signature = plan.signature();
-        if checkpoint.params.len() != signature.param_len() {
-            return Err(NnError::ParamLengthMismatch {
-                expected: signature.param_len(),
-                actual: checkpoint.params.len(),
+    /// Decode failures ([`ServeError::Nn`] for a checkpoint,
+    /// [`ServeError::Graph`] for an artifact) and the mismatches above.
+    pub fn prepare_swap(&self, source: &SwapSource) -> Result<PreparedSwap> {
+        let (checkpoint, artifact) = match source {
+            SwapSource::Checkpoint(bytes) => (Checkpoint::from_bytes(bytes)?, None),
+            SwapSource::PlanArtifact { bytes, name } => {
+                let plan = ExecPlan::from_bytes(bytes)?;
+                let signature = plan.signature();
+                let checkpoint = Checkpoint {
+                    model_name: name.clone(),
+                    param_len: signature.param_len(),
+                    layer_names: signature.layer_names().to_vec(),
+                    params: plan.dequantized_params(),
+                };
+                (checkpoint, Some(plan))
             }
-            .into());
-        }
+        };
+        let signature = self.base_plan.signature();
         // A param_len field disagreeing with the vector it describes is its
         // own mismatch; report the lying field, not the vector length.
-        if checkpoint.param_len != signature.param_len() {
-            return Err(NnError::ParamLengthMismatch {
-                expected: signature.param_len(),
-                actual: checkpoint.param_len,
+        for actual in [checkpoint.params.len(), checkpoint.param_len] {
+            if actual != signature.param_len() {
+                let expected = signature.param_len();
+                return Err(NnError::ParamLengthMismatch { expected, actual }.into());
             }
-            .into());
         }
         if checkpoint.layer_names.as_slice() != signature.layer_names() {
             return Err(NnError::ArchitectureMismatch {
@@ -744,69 +741,21 @@ impl ServeEngine {
             }
             .into());
         }
-        Ok(PreparedSwap { candidate: None, checkpoint, plan: None })
-    }
-
-    /// Validates a `.fplan` plan artifact ([`ServeEngine::export_plan`])
-    /// against this engine *without* applying it, returning a
-    /// [`PreparedSwap`] whose commit cannot fail. Unlike a checkpoint swap,
-    /// committing a plan artifact installs the deserialized [`ExecPlan`]
-    /// directly — weights *and* compiled schedule — so the new version never
-    /// recompiles and can never regress to the layer-walk fallback.
-    ///
-    /// The artifact reuses the checkpoint swap's validation ladder: parameter
-    /// count first ([`NnError::ParamLengthMismatch`]), then layer names
-    /// ([`NnError::ArchitectureMismatch`]) — both against the served model —
-    /// then the engine-specific geometry: the plan's input shape must equal
-    /// the configured feature map's and its compiled `max_batch` must cover
-    /// the engine's micro-batch cap (both [`fuse_graph::GraphError::Shape`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates read/decode errors ([`ServeError::Graph`]) and layout
-    /// mismatches ([`ServeError::Nn`] / [`ServeError::Graph`]).
-    pub fn prepare_hot_swap_plan(&self, path: &Path) -> Result<PreparedSwap> {
-        let plan = ExecPlan::read_plan(path)?;
-        let model_name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("fplan");
-        self.validate_plan_swap(plan, model_name)
-    }
-
-    /// [`ServeEngine::prepare_hot_swap_plan`] for a `.fplan` artifact that is
-    /// already in memory — the wire-payload entry point. `model_name` plays
-    /// the role the file stem plays on the file path (the artifact itself
-    /// carries no name).
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode errors ([`ServeError::Graph`]) and layout
-    /// mismatches ([`ServeError::Nn`] / [`ServeError::Graph`]).
-    pub fn prepare_hot_swap_plan_bytes(
-        &self,
-        bytes: &[u8],
-        model_name: &str,
-    ) -> Result<PreparedSwap> {
-        self.validate_plan_swap(ExecPlan::from_bytes(bytes)?, model_name)
-    }
-
-    /// The shared validation ladder of the two plan-artifact prepare entry
-    /// points (see [`ServeEngine::prepare_hot_swap_plan`] for the order).
-    fn validate_plan_swap(&self, plan: ExecPlan, model_name: &str) -> Result<PreparedSwap> {
-        let signature = plan.signature();
-        if signature.param_len() != self.base.param_len() {
-            return Err(NnError::ParamLengthMismatch {
-                expected: self.base.param_len(),
-                actual: signature.param_len(),
+        let mut model = self.base.clone();
+        model.set_flat_params(&checkpoint.params)?;
+        let plan = match artifact {
+            Some(plan) => {
+                self.check_artifact_geometry(&plan)?;
+                plan
             }
-            .into());
-        }
-        let expected: Vec<String> = self.base.layer_names().iter().map(|s| s.to_string()).collect();
-        if signature.layer_names() != expected.as_slice() {
-            return Err(NnError::ArchitectureMismatch {
-                actual: signature.layer_names().to_vec(),
-                expected,
-            }
-            .into());
-        }
+            None => compile_plan(&model, &self.config)?,
+        };
+        Ok(PreparedSwap { model, plan, checkpoint })
+    }
+
+    /// Step 4 of [`ServeEngine::prepare_swap`]: a plan artifact must take the
+    /// engine's input shape and cover its micro-batch cap.
+    fn check_artifact_geometry(&self, plan: &ExecPlan) -> Result<()> {
         let input_dims = self.config.feature_map.input_dims();
         if plan.input_meta().dims() != input_dims.as_slice() {
             return Err(GraphError::Shape(format!(
@@ -824,85 +773,42 @@ impl ServeEngine {
             ))
             .into());
         }
-        // `dequantized_params` is the full-signature f32 layout for float
-        // *and* quantized artifacts (a quantized plan's own `params` table
-        // holds only biases); the base model always stores f32, so a
-        // quantized swap applies the int8 weights' dequantized values —
-        // carrying the bounded rounding — while the installed plan itself
-        // executes the int8 tables.
-        let checkpoint = Checkpoint {
-            model_name: model_name.to_string(),
-            param_len: signature.param_len(),
-            layer_names: signature.layer_names().to_vec(),
-            params: plan.dequantized_params(),
-        };
-        Ok(PreparedSwap { candidate: None, checkpoint, plan: Some(plan) })
+        Ok(())
     }
 
-    /// Applies a [`PreparedSwap`] produced by
-    /// [`ServeEngine::prepare_hot_swap`] or
-    /// [`ServeEngine::prepare_hot_swap_plan`]: the base model is replaced,
-    /// the execution plan installed (from the artifact) or recompiled
-    /// against the new weights, and [`ServeEngine::model_version`] bumped.
-    /// Infallible by construction — every way the swap can fail was checked
-    /// at prepare time.
-    pub fn commit_hot_swap(&mut self, prepared: PreparedSwap) -> Checkpoint {
-        match prepared.candidate {
-            Some(candidate) => self.base = candidate,
-            None => self
-                .base
-                .set_flat_params(&prepared.checkpoint.params)
-                .expect("prepare_hot_swap validated the parameter count against the plan"),
-        }
+    /// Installs a [`PreparedSwap`]: the base model and its plan are
+    /// replaced and [`ServeEngine::model_version`] is bumped. Infallible by
+    /// construction — every way the swap can fail was checked at prepare
+    /// time. Returns the installed checkpoint's metadata and parameters.
+    pub fn commit_swap(&mut self, prepared: PreparedSwap) -> Checkpoint {
+        self.base = prepared.model;
+        self.base_plan = prepared.plan;
         self.model_version += 1;
-        match prepared.plan {
-            // A plan artifact carries its own compiled schedule: install it
-            // directly instead of recompiling.
-            Some(plan) => {
-                self.base_plan = Some(plan);
-                self.fallback_reason = None;
-            }
-            None => {
-                let (plan, reason) = compile_or_log(
-                    &self.base,
-                    &self.config,
-                    &format!("base model v{}", self.model_version),
-                );
-                self.base_plan = plan;
-                self.fallback_reason = reason;
-            }
-        }
         prepared.checkpoint
     }
 
-    /// Loads a `fuse-nn` checkpoint (JSON or binary) into the shared base
-    /// model and bumps [`ServeEngine::model_version`]. The checkpoint is
-    /// validated first ([`ServeEngine::prepare_hot_swap`]): on any error the
-    /// engine keeps serving the old weights. Adapted sessions keep their
+    /// Prepares and commits a checkpoint file (JSON or binary). On any error
+    /// the engine keeps serving the old weights. Adapted sessions keep their
     /// private models (call [`Session::reset_to_base`] to rejoin the shared
     /// model).
     ///
     /// # Errors
     ///
-    /// Propagates read/decode/layout errors as [`ServeError::Nn`].
+    /// Propagates read/decode/layout errors ([`ServeEngine::prepare_swap`]).
     pub fn hot_swap(&mut self, path: &Path) -> Result<Checkpoint> {
-        let prepared = self.prepare_hot_swap(path)?;
-        Ok(self.commit_hot_swap(prepared))
+        let prepared = self.prepare_swap(&SwapSource::checkpoint_file(path)?)?;
+        Ok(self.commit_swap(prepared))
     }
 
-    /// Loads a `.fplan` plan artifact into the engine: validates it
-    /// ([`ServeEngine::prepare_hot_swap_plan`]), applies the parameter
-    /// snapshot to the base model, installs the deserialized plan and bumps
-    /// [`ServeEngine::model_version`]. On any error the engine keeps serving
-    /// the old weights and plan.
+    /// Prepares and commits a `.fplan` artifact file, named after its file
+    /// stem. On any error the engine keeps serving the old weights and plan.
     ///
     /// # Errors
     ///
-    /// Propagates read/decode/layout errors as [`ServeError::Graph`] /
-    /// [`ServeError::Nn`].
+    /// Propagates read/decode/layout errors ([`ServeEngine::prepare_swap`]).
     pub fn hot_swap_plan(&mut self, path: &Path) -> Result<Checkpoint> {
-        let prepared = self.prepare_hot_swap_plan(path)?;
-        Ok(self.commit_hot_swap(prepared))
+        let prepared = self.prepare_swap(&SwapSource::plan_file(path)?)?;
+        Ok(self.commit_swap(prepared))
     }
 
     /// Saves the shared base model as a `fuse-nn` JSON checkpoint.
@@ -921,18 +827,9 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`fuse_graph::GraphError::Unsupported`] when the engine is
-    /// serving through the layer-walk fallback (there is no plan to export;
-    /// [`ServeEngine::fallback_reason`] says why) and propagates write
-    /// failures as [`ServeError::Graph`].
+    /// Propagates write failures as [`ServeError::Graph`].
     pub fn export_plan(&self, path: &Path) -> Result<()> {
-        let plan = self.base_plan.as_ref().ok_or_else(|| {
-            GraphError::Unsupported(
-                "the served model has no compiled plan to export (legacy layer-walk fallback)"
-                    .into(),
-            )
-        })?;
-        Ok(plan.write_plan(path)?)
+        Ok(self.base_plan.write_plan(path)?)
     }
 
     /// Like [`ServeEngine::export_plan`], but derives an int8 weight-quantized
@@ -946,18 +843,10 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`fuse_graph::GraphError::Unsupported`] when the engine is
-    /// serving through the layer-walk fallback, propagates
-    /// [`ExecPlan::quantize`] errors (e.g. non-finite weights) and write
-    /// failures as [`ServeError::Graph`].
+    /// Propagates [`ExecPlan::quantize`] errors (e.g. non-finite weights)
+    /// and write failures as [`ServeError::Graph`].
     pub fn export_quantized_plan(&self, path: &Path) -> Result<()> {
-        let plan = self.base_plan.as_ref().ok_or_else(|| {
-            GraphError::Unsupported(
-                "the served model has no compiled plan to quantize (legacy layer-walk fallback)"
-                    .into(),
-            )
-        })?;
-        Ok(plan.quantize()?.write_plan(path)?)
+        Ok(self.base_plan.quantize()?.write_plan(path)?)
     }
 
     /// Closes a session and packages everything a peer engine needs to
@@ -1005,7 +894,8 @@ impl ServeEngine {
     ///
     /// Returns [`ServeError::DuplicateSession`] when the id is already open
     /// here, and propagates checkpoint-layout mismatches as
-    /// [`ServeError::Nn`] (the state is dropped in that case; the source
+    /// [`ServeError::Nn`] and compilation failures as [`ServeError::Graph`]
+    /// (the state is dropped in that case; the source
     /// still holds nothing — export is destructive — so callers should
     /// validate architectures before migrating).
     pub fn reopen_with_history(&mut self, state: SessionState) -> Result<()> {
@@ -1051,8 +941,7 @@ impl ServeEngine {
         if let Some(ckpt) = checkpoint {
             let mut model = self.base.clone();
             ckpt.apply_to(&mut model)?;
-            let (plan, _) =
-                compile_or_log(&model, &self.config, &format!("session {id} migrated model"));
+            let plan = compile_plan(&model, &self.config)?;
             session.install_model(model, plan);
         }
         self.sessions.insert(id, session);
@@ -1069,42 +958,15 @@ fn ms_since(start: Instant) -> f64 {
 }
 
 /// Lowers `model` for the engine's feature geometry and compiles it into an
-/// [`ExecPlan`] sized for the micro-batch cap, returning either the plan or
-/// the reason compilation fell back to the legacy layer walk (a layer
-/// without an op-graph lowering, or shapes that do not chain from the
-/// configured feature map).
-fn compile_plan(
-    model: &Sequential,
-    config: &ServeConfig,
-) -> std::result::Result<ExecPlan, GraphError> {
-    match LoweringRequest::new(model, &config.feature_map.input_dims())
-        .max_batch(config.max_batch)
-        .fallback(FallbackPolicy::LegacyWalk)
-        .compile()?
-    {
-        Compiled::Plan(plan) => Ok(plan),
-        Compiled::Fallback(reason) => Err(reason),
-    }
-}
-
-/// [`compile_plan`], logging the fallback reason. Compilation runs exactly
-/// once per model version (construction, hot-swap commit, adaptation), so
-/// this logs once per version — not once per served frame.
-fn compile_or_log(
-    model: &Sequential,
-    config: &ServeConfig,
-    context: &str,
-) -> (Option<ExecPlan>, Option<GraphError>) {
-    match compile_plan(model, config) {
-        Ok(plan) => (Some(plan), None),
-        Err(reason) => {
-            eprintln!(
-                "fuse-serve: {context} cannot be compiled to a plan, \
-                 serving via the legacy layer walk: {reason}"
-            );
-            (None, Some(reason))
-        }
-    }
+/// [`ExecPlan`] sized for the micro-batch cap.
+///
+/// # Errors
+///
+/// [`ServeError::Graph`] for a layer without an op-graph lowering or shapes
+/// that do not chain from the configured feature map.
+fn compile_plan(model: &Sequential, config: &ServeConfig) -> Result<ExecPlan> {
+    let graph = LoweringRequest::new(model, &config.feature_map.input_dims()).lower()?;
+    Ok(graph.compile(config.max_batch)?)
 }
 
 /// Stages `features` contiguously into `staging` and runs the compiled plan
@@ -1170,7 +1032,7 @@ mod tests {
     #[test]
     fn base_plan_compiles_for_the_mars_cnn() {
         let engine = tiny_engine();
-        let plan = engine.plan().expect("the MARS CNN must lower to a compiled plan");
+        let plan = engine.plan();
         assert_eq!(plan.input_meta().dims(), &[5, 8, 8]);
         assert_eq!(plan.output_meta().dims(), &[57]);
         assert_eq!(plan.max_batch(), engine.config().max_batch);
@@ -1183,7 +1045,6 @@ mod tests {
     #[test]
     fn plan_responses_match_the_legacy_forward_bit_for_bit() {
         let mut engine = tiny_engine();
-        assert!(engine.plan().is_some());
         engine.open_session(SessionConfig::new(1)).unwrap();
         engine.submit(1, frame(2, 16)).unwrap();
         let features = engine.session(1).unwrap().featurize_latest().unwrap();
@@ -1198,7 +1059,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_hot_swap_rejects_a_mismatched_checkpoint_pre_commit() {
+    fn prepare_swap_rejects_a_mismatched_checkpoint_pre_commit() {
         use fuse_nn::NnError;
         let dir = std::env::temp_dir().join("fuse_serve_plan_swap_reject_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1210,9 +1071,8 @@ mod tests {
         Checkpoint::capture(&big, "big").write_json(&path).unwrap();
 
         let engine = tiny_engine();
-        assert!(engine.plan().is_some(), "this test exercises the signature path");
         let before = engine.base_model().flat_params();
-        let err = engine.prepare_hot_swap(&path).unwrap_err();
+        let err = engine.prepare_swap(&SwapSource::checkpoint_file(&path).unwrap()).unwrap_err();
         assert!(
             matches!(err, ServeError::Nn(NnError::ParamLengthMismatch { .. })),
             "expected a typed pre-commit mismatch, got {err}"
@@ -1451,7 +1311,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_hot_swap_is_non_consuming_and_commit_is_infallible() {
+    fn prepare_swap_is_non_consuming_and_commit_is_infallible() {
         let dir = std::env::temp_dir().join("fuse_serve_prepare_swap_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt.json");
@@ -1465,12 +1325,12 @@ mod tests {
         donor.save_checkpoint("two-phase", &path).unwrap();
 
         let before = engine.base_model().flat_params();
-        let prepared = engine.prepare_hot_swap(&path).unwrap();
+        let prepared = engine.prepare_swap(&SwapSource::checkpoint_file(&path).unwrap()).unwrap();
         assert_eq!(prepared.checkpoint().model_name, "two-phase");
         assert_eq!(engine.model_version(), 0, "prepare must not bump the version");
         assert_eq!(engine.base_model().flat_params(), before, "prepare must not touch the base");
 
-        let checkpoint = engine.commit_hot_swap(prepared);
+        let checkpoint = engine.commit_swap(prepared);
         assert_eq!(checkpoint.model_name, "two-phase");
         assert_eq!(engine.model_version(), 1);
         assert_ne!(engine.base_model().flat_params(), before);
@@ -1498,7 +1358,11 @@ mod tests {
             donor.base_model().flat_params(),
             "the artifact's parameter snapshot must land in the base model"
         );
-        assert!(engine.plan().is_some(), "the swapped-in plan is installed, not recompiled");
+        assert_eq!(
+            engine.plan().to_bytes(),
+            donor.plan().to_bytes(),
+            "the swapped-in plan is installed, not recompiled"
+        );
 
         // Served predictions must be bit-identical to the donor engine's.
         let mut reference = ServeEngine::new(
@@ -1548,7 +1412,7 @@ mod tests {
         let checkpoint = engine.hot_swap_plan(&path).unwrap();
         assert_eq!(checkpoint.model_name, "quantized");
         assert_eq!(engine.model_version(), 1);
-        assert!(engine.plan().unwrap().is_quantized(), "the int8 plan itself is installed");
+        assert!(engine.plan().is_quantized(), "the int8 plan itself is installed");
         assert_eq!(
             checkpoint.params.len(),
             engine.base_model().param_len(),
@@ -1592,20 +1456,10 @@ mod tests {
     }
 
     #[test]
-    fn export_quantized_plan_requires_a_compiled_plan() {
-        use fuse_nn::layers::Linear;
-        let model = Sequential::new(vec![Box::new(Linear::new(10, 4, 1).unwrap())]);
-        let engine = ServeEngine::new(model, ServeConfig::default()).unwrap();
-        assert!(engine.plan().is_none());
-        assert!(matches!(
-            engine.export_quantized_plan(Path::new("/nonexistent/out.fplan")).unwrap_err(),
-            ServeError::Graph(GraphError::Unsupported(_))
-        ));
-    }
-
-    #[test]
-    fn prepare_hot_swap_plan_rejects_mismatched_artifacts() {
-        use fuse_graph::GraphError;
+    fn prepare_swap_rejects_mismatched_plan_artifacts() {
+        let prepare = |engine: &ServeEngine, path: &Path| {
+            engine.prepare_swap(&SwapSource::plan_file(path).unwrap()).unwrap_err()
+        };
         let dir = std::env::temp_dir().join("fuse_serve_plan_swap_mismatch_test");
         std::fs::create_dir_all(&dir).unwrap();
 
@@ -1615,7 +1469,7 @@ mod tests {
         ServeEngine::new(big, ServeConfig::default()).unwrap().export_plan(&big_path).unwrap();
         let engine = tiny_engine();
         assert!(matches!(
-            engine.prepare_hot_swap_plan(&big_path).unwrap_err(),
+            prepare(&engine, &big_path),
             ServeError::Nn(NnError::ParamLengthMismatch { .. })
         ));
 
@@ -1626,45 +1480,61 @@ mod tests {
             ServeEngine::new(donor_model, ServeConfig { max_batch: 2, ..ServeConfig::default() })
                 .unwrap();
         small.export_plan(&small_path).unwrap();
-        assert!(matches!(
-            engine.prepare_hot_swap_plan(&small_path).unwrap_err(),
-            ServeError::Graph(GraphError::Shape(_))
-        ));
+        assert!(matches!(prepare(&engine, &small_path), ServeError::Graph(GraphError::Shape(_))));
 
         // A corrupt artifact is a typed decode error, and a rejected prepare
         // leaves the engine untouched.
         let bad_path = dir.join("corrupt.fplan");
         std::fs::write(&bad_path, b"not a plan").unwrap();
-        assert!(matches!(
-            engine.prepare_hot_swap_plan(&bad_path).unwrap_err(),
-            ServeError::Graph(_)
-        ));
+        assert!(matches!(prepare(&engine, &bad_path), ServeError::Graph(_)));
         assert_eq!(engine.model_version(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn non_lowerable_models_fall_back_visibly_and_are_counted() {
-        use fuse_nn::layers::Linear;
-        // A model whose first layer disagrees with the feature geometry
-        // cannot be lowered; the engine must serve (or fail) through the
-        // legacy walk *visibly* instead of silently.
-        let model = Sequential::new(vec![Box::new(Linear::new(10, 4, 1).unwrap())]);
-        let mut engine = ServeEngine::new(model, ServeConfig::default()).unwrap();
-        assert!(engine.plan().is_none());
-        assert!(engine.fallback_reason().is_some(), "the lowering error must be kept");
-        assert!(matches!(
-            engine.export_plan(Path::new("/nonexistent/out.fplan")).unwrap_err(),
-            ServeError::Graph(fuse_graph::GraphError::Unsupported(_))
-        ));
-        assert_eq!(engine.recorder().legacy_fallback_frames(), 0);
-        engine.open_session(SessionConfig::new(1)).unwrap();
-        engine.submit(1, frame(0, 8)).unwrap();
-        // The forward itself fails (the layer rejects the stacked feature
-        // map), but the frame was already routed to — and counted against —
-        // the fallback path.
-        let _ = engine.step();
-        assert_eq!(engine.recorder().legacy_fallback_frames(), 1);
+    fn failed_adaptation_leaves_the_session_untouched() {
+        use fuse_dataset::{
+            encode_dataset, FeatureMapBuilder, FrameFusion, MarsSynthesizer, SynthesisConfig,
+        };
+        let data = MarsSynthesizer::new(SynthesisConfig::tiny()).generate().unwrap();
+        let encoded =
+            encode_dataset(&data, &FrameFusion::default(), &FeatureMapBuilder::default()).unwrap();
+        // Zero epochs is refused by fine-tuning's config validation.
+        let bad = FineTuneConfig { epochs: 0, ..FineTuneConfig::default() };
+        // A one-frame fusion window makes every submit of the same frame
+        // featurize identically, so responses compare across submits.
+        let open = |engine: &mut ServeEngine| {
+            engine.open_session(SessionConfig::new(1).fusion(FrameFusion::new(0))).unwrap();
+        };
+        let serve = |engine: &mut ServeEngine| {
+            engine.submit(1, frame(3, 16)).unwrap();
+            engine.step().unwrap();
+            engine.take_responses()
+        };
+
+        // Fresh session: a failed first adaptation must not leave it adapted.
+        let mut untouched = tiny_engine();
+        open(&mut untouched);
+        let mut engine = tiny_engine();
+        open(&mut engine);
+        assert!(engine.adapt_session(1, &encoded, &bad).is_err());
+        let session = engine.session(1).unwrap();
+        assert!(!session.is_adapted());
+        assert!(session.plan().is_none());
+        let responses = serve(&mut engine);
+        assert!(!responses[0].adapted);
+        assert_eq!(responses, serve(&mut untouched), "must serve exactly the base model");
+
+        // Adapted session: a failed re-adaptation keeps the previous weights.
+        let good = FineTuneConfig { epochs: 1, batch_size: 16, ..FineTuneConfig::default() };
+        engine.adapt_session(1, &encoded, &good).unwrap();
+        let before = engine.session(1).unwrap().model().unwrap().flat_params();
+        let served_before = serve(&mut engine);
+        assert!(engine.adapt_session(1, &encoded, &bad).is_err());
+        assert_eq!(engine.session(1).unwrap().model().unwrap().flat_params(), before);
+        let served_after = serve(&mut engine);
+        assert!(served_after[0].adapted);
+        assert_eq!(served_after[0].joints, served_before[0].joints);
     }
 
     #[test]

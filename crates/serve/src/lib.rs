@@ -12,9 +12,10 @@
 //!   online, a private fine-tuned clone of the served model; created from
 //!   the typed [`SessionConfig`] builder, optionally carrying a service
 //!   class ([`SloClass`]) the cluster layer maps to backpressure;
-//! * [`ServeEngine`] — owns the shared base model and the open sessions,
-//!   micro-batches pending frames across sessions into stacked forward
-//!   passes, and hot-swaps `fuse-nn` checkpoints without downtime;
+//! * [`ServeEngine`] — owns the shared base model, its compiled plan and the
+//!   open sessions, micro-batches pending frames across sessions into
+//!   stacked plan runs, and hot-swaps checkpoints or `.fplan` artifacts
+//!   ([`SwapSource`]) without downtime;
 //! * [`LatencyRecorder`] — per-stage p50/p95/p99 latency summaries.
 //!
 //! Responses are **deterministic by construction**: pending frames are
@@ -66,7 +67,7 @@ pub mod session;
 pub mod stream;
 
 pub use engine::{
-    PendingFrame, PreparedSwap, ServeConfig, ServeEngine, ServeResponse, SessionState,
+    PendingFrame, PreparedSwap, ServeConfig, ServeEngine, ServeResponse, SessionState, SwapSource,
 };
 pub use error::ServeError;
 pub use fuse_backend::{BackendChoice, FUSE_BACKEND_ENV};
@@ -85,6 +86,7 @@ pub type Result<T> = std::result::Result<T, ServeError>;
 pub mod prelude {
     pub use crate::engine::{
         PendingFrame, PreparedSwap, ServeConfig, ServeEngine, ServeResponse, SessionState,
+        SwapSource,
     };
     pub use crate::error::ServeError;
     pub use crate::latency::{LatencyRecorder, LatencyReport, Stage, StageStats};

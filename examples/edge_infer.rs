@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     print_header("Producer: compile the MARS CNN and export the plan artifact");
     let model = build_mars_cnn(&ModelConfig::default(), 11)?;
     let mut producer = ServeEngine::new(model, ServeConfig::default())?;
-    let plan = producer.plan().expect("the MARS CNN compiles to a plan");
+    let plan = producer.plan();
     println!(
         "compiled plan: {} layers -> {} fused steps, input {:?}, output {:?}, max_batch {}",
         plan.signature().layer_names().len(),

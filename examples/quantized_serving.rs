@@ -116,7 +116,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut quant_engine =
         ServeEngine::new(build_mars_cnn(&ModelConfig::default(), 11)?, ServeConfig::default())?;
     quant_engine.hot_swap_plan(&quant_path)?;
-    let plan = quant_engine.plan().expect("swap installs the artifact's plan");
+    let plan = quant_engine.plan();
     println!(
         "installed plan v{}: quantized={}, {} int8 weights through device '{}'",
         quant_engine.model_version(),

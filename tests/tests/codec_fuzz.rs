@@ -1,10 +1,12 @@
 //! Deterministic mutation fuzzing of every binary decoder in the workspace:
 //! `.fplan` plans, `FCKP` checkpoints, and `FNET` frames with the
-//! `WireRequest` messages inside them.
+//! `WireRequest` and `WireResponse` messages inside them (a router decodes
+//! responses from remote shards, so they are untrusted input too).
 //!
 //! Every case starts from a committed golden (`tiny.fplan` and its int8
-//! `quantize()` form, `tiny.fckp`, each frame of `wire_requests.fnet`) and a
-//! fixed seed, so a failure replays exactly. Three mutation families run:
+//! `quantize()` form, `tiny.fckp`, each frame of `wire_requests.fnet` and
+//! `wire_responses.fnet`) and a fixed seed, so a failure replays exactly.
+//! Three mutation families run:
 //!
 //! * bit flips at seeded positions;
 //! * truncation of the container at every header and trailer boundary, and
@@ -25,7 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fuse_graph::ExecPlan;
 use fuse_net::frame::frame_len;
-use fuse_net::{decode_frame, WireRequest};
+use fuse_net::{decode_frame, WireRequest, WireResponse};
 use fuse_nn::Checkpoint;
 use fuse_tensor::codec::{self, fnv1a64, Reader, Writer, HEADER_LEN, MAX_PAYLOAD, TRAILER_LEN};
 use fuse_tests::golden::goldens_dir;
@@ -66,7 +68,10 @@ static GLOBAL: CapAlloc = CapAlloc;
 enum Format {
     Fplan,
     Fckp,
+    /// An `FNET` frame holding a [`WireRequest`].
     Fnet,
+    /// An `FNET` frame holding a [`WireResponse`].
+    FnetResponse,
 }
 
 impl Format {
@@ -74,7 +79,7 @@ impl Format {
     fn header_len(self) -> usize {
         match self {
             Format::Fckp => 8,
-            Format::Fplan | Format::Fnet => HEADER_LEN,
+            Format::Fplan | Format::Fnet | Format::FnetResponse => HEADER_LEN,
         }
     }
 
@@ -92,6 +97,10 @@ impl Format {
                 .and_then(WireRequest::decode)
                 .map(drop)
                 .map_err(|e| e.to_string()),
+            Format::FnetResponse => decode_frame(bytes)
+                .and_then(WireResponse::decode)
+                .map(drop)
+                .map_err(|e| e.to_string()),
         }
     }
 
@@ -101,7 +110,7 @@ impl Format {
         match self {
             Format::Fplan => "plan artifact: checksum mismatch",
             Format::Fckp => "serialization error: binary checkpoint: checksum mismatch",
-            Format::Fnet => "wire codec error: checksum mismatch",
+            Format::Fnet | Format::FnetResponse => "wire codec error: checksum mismatch",
         }
     }
 
@@ -109,7 +118,7 @@ impl Format {
     /// checksum.
     fn reseal(self, original: &[u8], payload: &[u8]) -> Vec<u8> {
         match self {
-            Format::Fplan | Format::Fnet => {
+            Format::Fplan | Format::Fnet | Format::FnetResponse => {
                 let mut r = Reader::new(original);
                 let magic = r.raw(4, "magic").unwrap().try_into().unwrap();
                 codec::seal(magic, r.u32("version").unwrap(), payload)
@@ -161,17 +170,18 @@ fn fplan_subjects() -> Vec<Subject> {
     ]
 }
 
-fn fnet_subjects() -> Vec<Subject> {
-    let stream = golden("wire_requests.fnet");
+/// One subject per frame of the concatenated `FNET` golden `file`.
+fn fnet_subjects(file: &str, format: Format) -> Vec<Subject> {
+    let stream = golden(file);
     let mut subjects = Vec::new();
     let mut rest = &stream[..];
     while !rest.is_empty() {
         let len = frame_len(rest).unwrap();
-        let name = format!("wire_requests.fnet frame {}", subjects.len());
-        subjects.push(Subject { name, format: Format::Fnet, bytes: rest[..len].to_vec() });
+        let name = format!("{file} frame {}", subjects.len());
+        subjects.push(Subject { name, format, bytes: rest[..len].to_vec() });
         rest = &rest[len..];
     }
-    assert_eq!(subjects.len(), 16, "one frame per WireRequest variant");
+    assert_eq!(subjects.len(), 16, "{file}: one frame per message variant");
     subjects
 }
 
@@ -262,5 +272,10 @@ fn fckp_decoding_survives_every_mutation() {
 
 #[test]
 fn fnet_decoding_survives_every_mutation() {
-    fnet_subjects().iter().for_each(fuzz);
+    fnet_subjects("wire_requests.fnet", Format::Fnet).iter().for_each(fuzz);
+}
+
+#[test]
+fn fnet_response_decoding_survives_every_mutation() {
+    fnet_subjects("wire_responses.fnet", Format::FnetResponse).iter().for_each(fuzz);
 }

@@ -11,12 +11,14 @@
 //! earlier build of the same format version keeps loading.
 
 use fuse_backend::{with_backend, BackendChoice};
+use fuse_cluster::{ClusterConfig, ClusterRouter};
 use fuse_core::{build_mars_cnn, build_pooled_mars_cnn, ModelConfig};
 use fuse_edge::EdgeSession;
 use fuse_graph::{ExecPlan, Graph, GraphError, TensorMeta, FPLAN_MIN_VERSION, FPLAN_VERSION};
+use fuse_nn::layers::Linear;
 use fuse_nn::{LoweringRequest, Sequential};
 use fuse_parallel::{with_min_parallel_work, with_threads};
-use fuse_serve::{ServeConfig, ServeEngine};
+use fuse_serve::{ServeConfig, ServeEngine, ServeError};
 use fuse_tensor::codec::{self, CodecError, Reader, Writer, HEADER_LEN, TRAILER_LEN};
 use fuse_tensor::{Conv2dSpec, Tensor};
 use fuse_tests::golden::{check_or_update_bytes, goldens_dir};
@@ -41,14 +43,24 @@ fn pooled_plan(max_batch: usize) -> ExecPlan {
 #[test]
 fn pooled_mars_cnn_compiles_to_a_plan_with_no_fallback() {
     // Max pooling lowers like any other op: the pooled MARS topology must
-    // reach a compiled plan, not the metered legacy-walk fallback.
+    // reach a compiled plan, or the engine would refuse it.
     let engine = ServeEngine::new(pooled_model(7), ServeConfig::default()).unwrap();
-    let plan = engine.plan().expect("the pooled MARS CNN must compile to a plan");
-    assert!(engine.fallback_reason().is_none(), "no fallback reason may be recorded");
-    assert_eq!(engine.recorder().legacy_fallback_frames(), 0);
     // The pooling stage halves each spatial dim, so the flattened FC input
     // shrinks 4x while the output head stays at 57 joints-coordinates.
-    assert_eq!(plan.output_meta().dims(), &[57]);
+    assert_eq!(engine.plan().output_meta().dims(), &[57]);
+}
+
+#[test]
+fn non_lowerable_models_are_refused_at_construction() {
+    // A first layer that disagrees with the 5×8×8 feature map cannot be
+    // lowered. An engine serves compiled plans only, so it refuses the
+    // model instead of serving it any other way, and so does a cluster.
+    let model = || Sequential::new(vec![Box::new(Linear::new(10, 4, 1).unwrap())]);
+    assert!(matches!(
+        ServeEngine::new(model(), ServeConfig::default()).unwrap_err(),
+        ServeError::Graph(_)
+    ));
+    assert!(ClusterRouter::new(model(), ClusterConfig::default()).is_err());
 }
 
 #[test]

@@ -129,7 +129,7 @@ fn quantized_plan_serves_the_golden_stream_within_budget() {
     golden_engine().export_quantized_plan(&path).unwrap();
     let mut engine = golden_engine();
     engine.hot_swap_plan(&path).unwrap();
-    assert!(engine.plan().unwrap().is_quantized());
+    assert!(engine.plan().is_quantized());
     let worst = replay_against_golden(&mut engine, &tol);
     eprintln!("int8 serve leg: worst deviation {worst:?} within {tol:?}");
     std::fs::remove_dir_all(&dir).ok();
@@ -144,12 +144,8 @@ fn quantized_edge_session_serves_the_golden_stream_within_budget() {
     // loaded standalone from artifact bytes, must track the committed float
     // golden frame for frame. A float reference engine supplies the fused
     // feature maps (fusion/featurization are exact-contract stages).
-    let reference = golden_engine();
-    let bytes = {
-        let plan = reference.plan().expect("the tiny MARS CNN compiles");
-        plan.quantize().unwrap().to_bytes()
-    };
-    let mut reference = reference;
+    let mut reference = golden_engine();
+    let bytes = reference.plan().quantize().unwrap().to_bytes();
     reference.open_session(SessionConfig::new(0)).expect("session opens");
     let mut edge = EdgeSession::from_bytes(&bytes).unwrap();
     assert!(edge.is_quantized());
