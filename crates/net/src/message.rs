@@ -298,10 +298,9 @@ fn decode_tensor(r: &mut Reader<'_>) -> Result<Tensor> {
     Tensor::from_vec(data, &dims).map_err(|e| NetError::Decode(format!("tensor: {e}")))
 }
 
-/// The `u64` after the sample window is reserved: it carried a frame
-/// counter of a serving path that no longer exists. It is written as `0` and
-/// read and discarded, so the layout (and every committed frame) stays
-/// unchanged until the next `FRAME_VERSION` bump drops it.
+/// The `u64` after the sample window is reserved: written as `0`, read and
+/// discarded. Dropping it changes every committed `Snapshot` frame, so it
+/// goes with the next `FRAME_VERSION` bump.
 fn encode_recorder(w: &mut Writer, rec: &LatencyRecorder) {
     w.f64(rec.budget_ms());
     w.u64(rec.sample_window() as u64);
