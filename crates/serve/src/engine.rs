@@ -741,39 +741,32 @@ impl ServeEngine {
             }
             .into());
         }
+        if let Some(plan) = &artifact {
+            let input_dims = self.config.feature_map.input_dims();
+            if plan.input_meta().dims() != input_dims.as_slice() {
+                return Err(GraphError::Shape(format!(
+                    "plan artifact expects input {:?} but the engine featurizes {:?}",
+                    plan.input_meta().dims(),
+                    input_dims
+                ))
+                .into());
+            }
+            if plan.max_batch() < self.config.max_batch {
+                return Err(GraphError::Shape(format!(
+                    "plan artifact was compiled for max_batch {} but the engine batches up to {}",
+                    plan.max_batch(),
+                    self.config.max_batch
+                ))
+                .into());
+            }
+        }
         let mut model = self.base.clone();
         model.set_flat_params(&checkpoint.params)?;
         let plan = match artifact {
-            Some(plan) => {
-                self.check_artifact_geometry(&plan)?;
-                plan
-            }
+            Some(plan) => plan,
             None => compile_plan(&model, &self.config)?,
         };
         Ok(PreparedSwap { model, plan, checkpoint })
-    }
-
-    /// Step 4 of [`ServeEngine::prepare_swap`]: a plan artifact must take the
-    /// engine's input shape and cover its micro-batch cap.
-    fn check_artifact_geometry(&self, plan: &ExecPlan) -> Result<()> {
-        let input_dims = self.config.feature_map.input_dims();
-        if plan.input_meta().dims() != input_dims.as_slice() {
-            return Err(GraphError::Shape(format!(
-                "plan artifact expects input {:?} but the engine featurizes {:?}",
-                plan.input_meta().dims(),
-                input_dims
-            ))
-            .into());
-        }
-        if plan.max_batch() < self.config.max_batch {
-            return Err(GraphError::Shape(format!(
-                "plan artifact was compiled for max_batch {} but the engine batches up to {}",
-                plan.max_batch(),
-                self.config.max_batch
-            ))
-            .into());
-        }
-        Ok(())
     }
 
     /// Installs a [`PreparedSwap`]: the base model and its plan are
