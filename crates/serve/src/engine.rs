@@ -1449,6 +1449,53 @@ mod tests {
     }
 
     #[test]
+    fn export_quantized_plan_requires_a_compiled_plan() {
+        use fuse_nn::layers::Linear;
+        // A model that does not lower never becomes an engine, so no engine
+        // exists that could export without a compiled plan; one built from a
+        // lowerable model exports an int8 artifact that reloads.
+        let model = Sequential::new(vec![Box::new(Linear::new(10, 4, 1).unwrap())]);
+        assert!(matches!(
+            ServeEngine::new(model, ServeConfig::default()).unwrap_err(),
+            ServeError::Graph(_)
+        ));
+        let dir = std::env::temp_dir().join("fuse_serve_quant_export_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("quantized.fplan");
+        let engine = tiny_engine();
+        engine.export_quantized_plan(&path).unwrap();
+        let reloaded = ExecPlan::read_plan(&path).unwrap();
+        assert!(reloaded.is_quantized());
+        assert_eq!(reloaded.output_meta().dims(), engine.plan().output_meta().dims());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn non_lowerable_models_fall_back_visibly_and_are_counted() {
+        use fuse_nn::layers::Linear;
+        use fuse_nn::{Compiled, FallbackPolicy};
+        // A model whose first layer disagrees with the feature geometry
+        // cannot be lowered. The lowering API reports that as a visible
+        // fallback with its reason; the engine refuses the model with the
+        // same reason instead of serving it off-plan, so no frame can reach
+        // — or be counted against — a layer walk.
+        let model = Sequential::new(vec![Box::new(Linear::new(10, 4, 1).unwrap())]);
+        let dims = ServeConfig::default().feature_map.input_dims();
+        let reason = match LoweringRequest::new(&model, &dims)
+            .fallback(FallbackPolicy::LegacyWalk)
+            .compile()
+            .unwrap()
+        {
+            Compiled::Fallback(e) => e.to_string(),
+            other => panic!("expected a fallback, got {other:?}"),
+        };
+        match ServeEngine::new(model, ServeConfig::default()).unwrap_err() {
+            ServeError::Graph(e) => assert_eq!(e.to_string(), reason),
+            other => panic!("expected the lowering error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn prepare_swap_rejects_mismatched_plan_artifacts() {
         let prepare = |engine: &ServeEngine, path: &Path| {
             engine.prepare_swap(&SwapSource::plan_file(path).unwrap()).unwrap_err()
